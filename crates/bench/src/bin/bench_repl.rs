@@ -20,7 +20,7 @@
 //! primary's exact state or the post-failover GET fails — lag numbers
 //! from a diverged replica would be meaningless.
 
-use mp_myproxy::client::{GetParams, InitParams, RetryPolicy};
+use mp_myproxy::client::{GetParams, InitParams, Repositories, RetryPolicy};
 use mp_myproxy::repl::ReplConfig;
 use mp_myproxy::testutil::TempDir;
 use mp_myproxy::wal::{RealVfs, WalConfig};
@@ -159,11 +159,10 @@ fn main() {
     params.key_bits = 512;
     params.lifetime_secs = 3600;
     let policy = RetryPolicy { max_attempts: 4, base_delay_ms: 1, max_delay_ms: 2, jitter_seed: 7 };
-    let got = world.myproxy_client.get_delegation_failover(
-        &[dead, GridWorld::myproxy_connector(&standby)],
+    let (got, _) = Repositories::new(vec![dead, GridWorld::myproxy_connector(&standby)], policy).call(
+        &world.myproxy_client,
         &world.portal_cred,
         &params,
-        &policy,
         &mut rng,
         world.clock.now(),
     );

@@ -11,7 +11,7 @@
 //! `issue` appends nothing to the CA dir; it writes a combined
 //! credential PEM for the subject (cert + fresh key + CA cert chain).
 
-use mp_cli::{bits_flag, die, load_credential, save_credential, usage_exit, Args};
+use mp_cli::{bits_flag, load_credential, main_with, save_credential, Args};
 use mp_crypto::rsa::RsaPrivateKey;
 use mp_crypto::HmacDrbg;
 use mp_gsi::Credential;
@@ -23,21 +23,11 @@ const USAGE: &str = "usage:
   grid-ca issue --ca-dir <dir> --dn <DN> --out <file.pem> [--bits N] [--days N]";
 
 fn main() {
-    let args = match Args::from_env() {
-        Ok(a) => a,
-        Err(e) => usage_exit(USAGE, Some(e)),
-    };
-    if args.has("help") {
-        usage_exit(USAGE, None);
-    }
-    let result = match args.positional.first().map(String::as_str) {
-        Some("init") => ca_init(&args),
-        Some("issue") => ca_issue(&args),
+    main_with(USAGE, |args| match args.positional.first().map(String::as_str) {
+        Some("init") => ca_init(args),
+        Some("issue") => ca_issue(args),
         _ => Err("expected subcommand 'init' or 'issue'".to_string()),
-    };
-    if let Err(e) = result {
-        die(e);
-    }
+    });
 }
 
 fn ca_init(args: &Args) -> Result<(), String> {

@@ -6,7 +6,7 @@
 //!                 [--hours 12] [--bits 512] [--limited] [--restrict EXPR]
 //! ```
 
-use mp_cli::{die, load_credential, save_credential, usage_exit, Args};
+use mp_cli::{load_credential, main_with, save_credential, Args};
 use mp_crypto::HmacDrbg;
 use mp_gsi::{grid_proxy_init, ProxyOptions};
 use mp_x509::{Clock, ProxyPolicy, SystemClock};
@@ -17,16 +17,7 @@ const USAGE: &str = "usage:
                   [--hours N] [--bits N] [--limited] [--restrict EXPR]";
 
 fn main() {
-    let args = match Args::from_env() {
-        Ok(a) => a,
-        Err(e) => usage_exit(USAGE, Some(e)),
-    };
-    if args.has("help") {
-        usage_exit(USAGE, None);
-    }
-    if let Err(e) = run(&args) {
-        die(e);
-    }
+    main_with(USAGE, run);
 }
 
 fn run(args: &Args) -> Result<(), String> {

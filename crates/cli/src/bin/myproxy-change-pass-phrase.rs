@@ -7,7 +7,8 @@
 //!                            [--cred-name NAME] [--server-dn DN]
 //! ```
 
-use mp_cli::{die, passphrase, usage_exit, Args, ClientSetup};
+use mp_cli::{explain, main_with, passphrase, Args, ClientSetup};
+use mp_myproxy::client::RetryPolicy;
 
 const USAGE: &str = "usage:
   myproxy-change-pass-phrase --server <host:port> --credential <user.pem> --trust-roots <dir>
@@ -15,35 +16,19 @@ const USAGE: &str = "usage:
                              --new-passphrase <p> [--cred-name <name>] [--server-dn <DN>]";
 
 fn main() {
-    let args = match Args::from_env() {
-        Ok(a) => a,
-        Err(e) => usage_exit(USAGE, Some(e)),
-    };
-    if args.has("help") {
-        usage_exit(USAGE, None);
-    }
-    if let Err(e) = run(&args) {
-        die(e);
-    }
+    main_with(USAGE, run);
 }
 
 fn run(args: &Args) -> Result<(), String> {
     let mut setup = ClientSetup::from_args(args)?;
     let username = args.require("username")?;
-    let transport = setup.connect()?;
-    setup
-        .client
-        .change_passphrase(
-            transport,
-            &setup.credential,
-            username,
-            &passphrase(args)?,
-            args.require("new-passphrase")?,
-            args.get("cred-name"),
-            &mut setup.rng,
-            setup.now,
-        )
-        .map_err(|e| e.to_string())?;
+    let (old, new) = (passphrase(args)?, args.require("new-passphrase")?);
+    let (client, cred, now) = (&setup.client, &setup.credential, setup.now);
+    let (result, _) = setup.repositories(RetryPolicy::default()).call_once(|transport| {
+        let name = args.get("cred-name");
+        client.change_passphrase(transport, cred, username, &old, new, name, &mut setup.rng, now)
+    });
+    result.map_err(|e| explain(&e))?;
     println!("pass phrase changed for '{username}'");
     Ok(())
 }

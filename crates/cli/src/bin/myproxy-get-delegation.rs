@@ -13,11 +13,11 @@
 //! GET is idempotent, so `--retries N` retries transparently (capped
 //! jittered backoff, honoring the server's BUSY retry-after hint) when
 //! the server sheds load or the connection fails transiently. With
-//! `--repositories` each retry also rotates to the next repository in
-//! the list, so a dead primary fails over to its warm standby.
+//! `--repositories` each attempt also rotates to the next repository
+//! in the list, so a dead primary fails over to its warm standby.
 
-use mp_cli::{die, explain, passphrase, save_credential, usage_exit, Args, ClientSetup};
-use mp_myproxy::client::{GetParams, RetryPolicy};
+use mp_cli::{explain, main_with, passphrase, save_credential, Args, ClientSetup};
+use mp_myproxy::client::GetParams;
 use std::path::Path;
 
 const USAGE: &str = "usage:
@@ -26,19 +26,13 @@ const USAGE: &str = "usage:
                          --out <proxy.pem> [--server-dn <DN>] [--lifetime-hours N]
                          [--cred-name <name>] [--task k:v,k:v] [--otp <hex>] [--bits N]
                          [--retries N] [--retry-base-ms N]
-                         [--repositories <host:port,host:port>]";
+                         [--repositories <host:port,host:port>]
+
+  --retries  retries after the first attempt (default 0); attempts =
+             max(N + 1, repositories), so every listed repository is tried";
 
 fn main() {
-    let args = match Args::from_env() {
-        Ok(a) => a,
-        Err(e) => usage_exit(USAGE, Some(e)),
-    };
-    if args.has("help") {
-        usage_exit(USAGE, None);
-    }
-    if let Err(e) = run(&args) {
-        die(e);
-    }
+    main_with(USAGE, run);
 }
 
 fn run(args: &Args) -> Result<(), String> {
@@ -53,51 +47,14 @@ fn run(args: &Args) -> Result<(), String> {
     params.otp = args.get("otp").map(str::to_string);
     params.key_bits = args.get_u64("bits", 512)? as usize;
 
-    let retries = args.get_u64("retries", 0)?;
-    let proxy = if setup.multi_repository() {
-        // Give every repository at least one attempt even when the
-        // user did not ask for retries.
-        let attempts = (retries as u32 + 1).max(setup.repositories.len() as u32);
-        let policy = RetryPolicy {
-            max_attempts: attempts,
-            base_delay_ms: args.get_u64("retry-base-ms", 50)?,
-            ..RetryPolicy::default()
-        };
-        setup
-            .client
-            .get_delegation_failover(
-                &setup.repository_connectors(),
-                &setup.credential,
-                &params,
-                &policy,
-                &mut setup.rng,
-                setup.now,
-            )
-            .map_err(|e| explain(&e))?
-    } else if retries > 0 {
-        let policy = RetryPolicy {
-            max_attempts: retries as u32 + 1,
-            base_delay_ms: args.get_u64("retry-base-ms", 50)?,
-            ..RetryPolicy::default()
-        };
-        setup
-            .client
-            .get_delegation_retrying(
-                &setup.connector(),
-                &setup.credential,
-                &params,
-                &policy,
-                &mut setup.rng,
-                setup.now,
-            )
-            .map_err(|e| explain(&e))?
-    } else {
-        let transport = setup.connect()?;
-        setup
-            .client
-            .get_delegation(transport, &setup.credential, &params, &mut setup.rng, setup.now)
-            .map_err(|e| explain(&e))?
-    };
+    let (proxy, _) = setup.repositories(setup.retry_policy(args)?).call(
+        &setup.client,
+        &setup.credential,
+        &params,
+        &mut setup.rng,
+        setup.now,
+    );
+    let proxy = proxy.map_err(|e| explain(&e))?;
     save_credential(out, &proxy)?;
     println!("received a proxy credential:");
     println!("  subject:  {}", proxy.subject());

@@ -6,14 +6,15 @@
 //!              [--repositories host:port,host:port]
 //! ```
 //!
-//! Against a replicated deployment the first line reports which role
-//! the answering repository holds (primary / standby / promoting) and
-//! its replication epoch, so an operator can tell at a glance whether
-//! a promotion has happened. `--repositories` fails over across the
-//! list when the first repository is down.
+//! The first line reports which repository answered, the role it holds
+//! (primary / standby / promoting) and its replication epoch, so an
+//! operator can tell at a glance whether a promotion has happened.
+//! INFO is read-only: `--retries` rides out BUSY sheds and transient
+//! dial failures, and with `--repositories` each attempt moves to the
+//! next repository in the list.
 
-use mp_cli::{die, passphrase, usage_exit, Args, ClientSetup};
-use mp_myproxy::client::RetryPolicy;
+use mp_cli::{explain, main_with, passphrase, Args, ClientSetup};
+use mp_myproxy::client::InfoParams;
 
 const USAGE: &str = "usage:
   myproxy-info --server <host:port> --credential <user.pem> --trust-roots <dir>
@@ -23,78 +24,34 @@ const USAGE: &str = "usage:
 
   --repositories  ordered failover list; INFO is read-only and may be
                   served by any replica
+  --retries       retries after the first attempt (default 0); attempts =
+                  max(N + 1, repositories), so every listed repository is tried
   --metrics       also print the server's metrics snapshot (one line per metric)";
 
 fn main() {
-    let args = match Args::from_env() {
-        Ok(a) => a,
-        Err(e) => usage_exit(USAGE, Some(e)),
-    };
-    if args.has("help") {
-        usage_exit(USAGE, None);
-    }
-    if let Err(e) = run(&args) {
-        die(e);
-    }
+    main_with(USAGE, run);
 }
 
 fn run(args: &Args) -> Result<(), String> {
     let mut setup = ClientSetup::from_args(args)?;
     let username = args.require("username")?;
-    let want_metrics = args.has("metrics");
-    let mut metrics = Vec::new();
-    let infos = if setup.multi_repository() {
-        // Read-only, so INFO may fail over freely across the list.
-        let policy = RetryPolicy {
-            max_attempts: args.get_u64("retries", 4)? as u32,
-            base_delay_ms: args.get_u64("retry-base-ms", 50)?,
-            ..RetryPolicy::default()
-        };
-        setup
-            .client
-            .info_failover(
-                &setup.repository_connectors(),
-                &setup.credential,
-                username,
-                &passphrase(args)?,
-                &policy,
-                &mut setup.rng,
-                setup.now,
-            )
-            .map_err(|e| e.to_string())?
-    } else if want_metrics {
-        let transport = setup.connect()?;
-        let (infos, m) = setup
-            .client
-            .info_with_metrics(
-                transport,
-                &setup.credential,
-                username,
-                &passphrase(args)?,
-                &mut setup.rng,
-                setup.now,
-            )
-            .map_err(|e| e.to_string())?;
-        metrics = m;
-        infos
-    } else {
-        let transport = setup.connect()?;
-        let (infos, status) = setup
-            .client
-            .info_with_status(
-                transport,
-                &setup.credential,
-                username,
-                &passphrase(args)?,
-                &mut setup.rng,
-                setup.now,
-            )
-            .map_err(|e| e.to_string())?;
-        println!("repository {}: role={} epoch={}", setup.server_addr, status.role, status.epoch);
-        infos
-    };
-    println!("{} credential(s) stored for '{username}':", infos.len());
-    for i in infos {
+    let params = InfoParams { metrics: args.has("metrics"), ..InfoParams::new(username, &passphrase(args)?) };
+    let (reply, attempts) = setup.repositories(setup.retry_policy(args)?).call(
+        &setup.client,
+        &setup.credential,
+        &params,
+        &mut setup.rng,
+        setup.now,
+    );
+    let reply = reply.map_err(|e| explain(&e))?;
+    println!(
+        "repository {}: role={} epoch={}",
+        setup.answered_by(attempts),
+        reply.status.role,
+        reply.status.epoch
+    );
+    println!("{} credential(s) stored for '{username}':", reply.creds.len());
+    for i in reply.creds {
         println!(
             "  {:<16} owner={} expires_in={}s max_delegation={}s{}{}",
             i.name,
@@ -105,9 +62,9 @@ fn run(args: &Args) -> Result<(), String> {
             if i.renewable { " [renewable]" } else { "" },
         );
     }
-    if want_metrics {
+    if params.metrics {
         println!("server metrics:");
-        for line in metrics {
+        for line in reply.metrics {
             println!("  {line}");
         }
     }

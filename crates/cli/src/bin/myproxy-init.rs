@@ -13,8 +13,8 @@
 //! dial itself is refused — never after a request is in flight, where
 //! a blind retry against the next repository could double-store.
 
-use mp_cli::{die, explain, passphrase, usage_exit, Args, ClientSetup};
-use mp_myproxy::client::InitParams;
+use mp_cli::{explain, main_with, passphrase, Args, ClientSetup};
+use mp_myproxy::client::{InitParams, RetryPolicy};
 
 const USAGE: &str = "usage:
   myproxy-init --server <host:port> --credential <user.pem> --trust-roots <dir>
@@ -24,16 +24,7 @@ const USAGE: &str = "usage:
                [--repositories <host:port,host:port>]";
 
 fn main() {
-    let args = match Args::from_env() {
-        Ok(a) => a,
-        Err(e) => usage_exit(USAGE, Some(e)),
-    };
-    if args.has("help") {
-        usage_exit(USAGE, None);
-    }
-    if let Err(e) = run(&args) {
-        die(e);
-    }
+    main_with(USAGE, run);
 }
 
 fn run(args: &Args) -> Result<(), String> {
@@ -53,24 +44,11 @@ fn run(args: &Args) -> Result<(), String> {
     // PUT is not idempotent, so init never auto-retries; a BUSY shed is
     // surfaced with its retry-after hint for the user to act on. A
     // repository list moves on only when the dial is refused outright.
-    let not_after = if setup.multi_repository() {
-        setup
-            .client
-            .init_failover(
-                &setup.repository_connectors(),
-                &setup.credential,
-                &params,
-                &mut setup.rng,
-                setup.now,
-            )
-            .map_err(|e| explain(&e))?
-    } else {
-        let transport = setup.connect()?;
-        setup
-            .client
-            .init(transport, &setup.credential, &params, &mut setup.rng, setup.now)
-            .map_err(|e| explain(&e))?
-    };
+    let (client, cred, now) = (&setup.client, &setup.credential, setup.now);
+    let (not_after, _) = setup
+        .repositories(RetryPolicy::default())
+        .call_once(|transport| client.init(transport, cred, &params, &mut setup.rng, now));
+    let not_after = not_after.map_err(|e| explain(&e))?;
     println!(
         "a proxy valid until unix time {not_after} ({}h) is now stored for '{}'",
         (not_after - setup.now) / 3600,

@@ -11,32 +11,24 @@
 //! and it demotes itself to standby instead of split-braining the
 //! store.
 
-use mp_cli::{die, explain, usage_exit, Args, ClientSetup};
+use mp_cli::{explain, main_with, Args, ClientSetup};
+use mp_myproxy::client::RetryPolicy;
 
 const USAGE: &str = "usage:
   myproxy-promote --server <standby host:port> --credential <admin.pem> --trust-roots <dir>
                   [--server-dn <DN>]";
 
 fn main() {
-    let args = match Args::from_env() {
-        Ok(a) => a,
-        Err(e) => usage_exit(USAGE, Some(e)),
-    };
-    if args.has("help") {
-        usage_exit(USAGE, None);
-    }
-    if let Err(e) = run(&args) {
-        die(e);
-    }
+    main_with(USAGE, run);
 }
 
 fn run(args: &Args) -> Result<(), String> {
     let mut setup = ClientSetup::from_args(args)?;
-    let transport = setup.connect()?;
-    let status = setup
-        .client
-        .promote(transport, &setup.credential, &mut setup.rng, setup.now)
-        .map_err(|e| explain(&e))?;
-    println!("{} is now role={} epoch={}", setup.server_addr, status.role, status.epoch);
+    let (client, cred, now) = (&setup.client, &setup.credential, setup.now);
+    let (status, dials) = setup
+        .repositories(RetryPolicy::default())
+        .call_once(|transport| client.promote(transport, cred, &mut setup.rng, now));
+    let status = status.map_err(|e| explain(&e))?;
+    println!("{} is now role={} epoch={}", setup.answered_by(dials), status.role, status.epoch);
     Ok(())
 }

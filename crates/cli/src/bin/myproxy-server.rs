@@ -33,15 +33,14 @@
 //! on a tightly secured host (§5.1: "comparable to a Kerberos Domain
 //! Controller").
 
-use mp_cli::{die, load_credential, load_trust_roots, usage_exit, Args};
+use mp_cli::{load_credential, load_trust_roots, main_with, Args};
 use mp_crypto::HmacDrbg;
-use mp_gsi::channel::send_busy;
-use mp_gsi::net::{self, NetConfig, Outcome, Service, TcpAcceptor};
+use mp_gsi::net::{self, NetConfig, TcpAcceptor};
 use mp_gsi::AccessControlList;
 use mp_myproxy::repl::ReplConfig;
-use mp_myproxy::server::BUSY_SHED_REASON;
+use mp_myproxy::server::MyProxyService;
 use mp_myproxy::wal::WalConfig;
-use mp_myproxy::{MyProxyError, MyProxyServer, ServerPolicy};
+use mp_myproxy::{MyProxyServer, ServerPolicy};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -61,16 +60,7 @@ const USAGE: &str = "usage:
   --takeover-secs  auto-promote after N s without a primary heartbeat (0 = manual only)";
 
 fn main() {
-    let args = match Args::from_env() {
-        Ok(a) => a,
-        Err(e) => usage_exit(USAGE, Some(e)),
-    };
-    if args.has("help") {
-        usage_exit(USAGE, None);
-    }
-    if let Err(e) = run(&args) {
-        die(e);
-    }
+    main_with(USAGE, run);
 }
 
 fn acl(patterns: Vec<&str>) -> AccessControlList {
@@ -202,15 +192,15 @@ fn run(args: &Args) -> Result<(), String> {
         role.as_str(),
     );
 
-    // Bounded worker pool with a periodic expired-credential sweep.
-    // Durability needs no per-connection hook any more: the store
-    // journals each mutation itself, write-ahead. Pool counters intern
-    // into the server's registry as `net.myproxy.*`, so `INFO` with
-    // `METRICS=1` reports them alongside the request counters.
-    let obs = server.obs().clone();
-    let service = Arc::new(LoggingService { server });
+    // Bounded worker pool with a periodic expired-credential sweep,
+    // serving through the same `MyProxyService` every test drives (its
+    // logging form narrates connections, purges and promotions on
+    // stderr). Pool counters intern into the server's registry as
+    // `net.myproxy.*`, so `INFO` with `METRICS=1` reports them
+    // alongside the request counters.
     let acceptor = TcpAcceptor::new(listener).map_err(|e| format!("listener setup: {e}"))?;
-    let handle = net::serve_scoped(acceptor, service, NetConfig::default(), &obs, "myproxy")
+    let service = MyProxyService::logging(&server);
+    let handle = net::serve_scoped(acceptor, service, NetConfig::default(), server.obs(), "myproxy")
         .map_err(|e| format!("cannot start worker pool: {e}"))?;
     // Runs until the listener dies (fatal accept error); then drain.
     let report = handle.join();
@@ -219,53 +209,4 @@ fn run(args: &Args) -> Result<(), String> {
         report.drained, report.aborted
     );
     Ok(())
-}
-
-/// The repository as a pool [`Service`]. Persistence lives inside the
-/// store's write-ahead journal now; this wrapper only adds per-peer
-/// logging and the periodic sweep.
-struct LoggingService {
-    server: MyProxyServer,
-}
-
-impl Service<std::net::TcpStream> for LoggingService {
-    fn handle(&self, conn: std::net::TcpStream, idle_deadline: Option<Duration>) -> Outcome {
-        let peer = conn.peer_addr().map(|a| a.to_string()).unwrap_or_default();
-        let result = self.server.handle_deadlined(conn, idle_deadline);
-        match &result {
-            Ok(()) => eprintln!("{peer}: ok"),
-            Err(e) => eprintln!("{peer}: {e}"),
-        }
-        match &result {
-            Ok(()) => Outcome::Ok,
-            Err(MyProxyError::Gsi(mp_gsi::GsiError::Io(e)))
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
-                ) =>
-            {
-                Outcome::Timeout
-            }
-            Err(_) => Outcome::Error,
-        }
-    }
-
-    fn shed(&self, mut conn: std::net::TcpStream) {
-        if let Err(e) = send_busy(&mut conn, BUSY_SHED_REASON) {
-            eprintln!("warning: busy refusal failed: {e}");
-        }
-    }
-
-    fn sweep(&self) {
-        let purged = self.server.purge_expired();
-        if purged > 0 {
-            eprintln!("purged {purged} expired credentials");
-        }
-        // Standby primary-loss detection rides the same tick; on a
-        // primary (or a standby with manual promotion) this is a no-op.
-        if self.server.check_auto_promote() {
-            let (_, epoch) = self.server.replication_status();
-            eprintln!("primary heartbeat lost: promoted to primary (epoch {epoch})");
-        }
-    }
 }

@@ -7,6 +7,7 @@
 
 use mp_crypto::HmacDrbg;
 use mp_gsi::Credential;
+use mp_myproxy::client::{Repositories, RetryPolicy};
 use mp_x509::pem::{self, label};
 use mp_x509::{Certificate, Dn};
 use std::collections::BTreeMap;
@@ -226,35 +227,47 @@ impl ClientSetup {
         })
     }
 
-    /// True when the user gave a multi-repository list: the tools then
-    /// route through the `*_failover` client operations.
-    pub fn multi_repository(&self) -> bool {
-        self.repositories.len() > 1
+    /// The one rule for how often an idempotent tool (`myproxy-info`,
+    /// `myproxy-get-delegation`) tries: `--retries N` grants N retries
+    /// after the first attempt, and every listed repository gets at
+    /// least one — `max_attempts = max(N + 1, repositories)`.
+    pub fn retry_policy(&self, args: &Args) -> Result<RetryPolicy, String> {
+        let tries = u32::try_from(args.get_u64("retries", 0)?).unwrap_or(u32::MAX).saturating_add(1);
+        let listed = u32::try_from(self.repositories.len()).unwrap_or(u32::MAX);
+        Ok(RetryPolicy {
+            max_attempts: tries.max(listed),
+            base_delay_ms: args.get_u64("retry-base-ms", 50)?,
+            ..RetryPolicy::default()
+        })
     }
 
-    /// Dial the server.
-    pub fn connect(&self) -> Result<std::net::TcpStream, String> {
-        std::net::TcpStream::connect(&self.server_addr)
-            .map_err(|e| format!("cannot connect to {}: {e}", self.server_addr))
+    /// The configured repository list as the client's [`Repositories`]:
+    /// one re-dialing TCP connector per address, in list order.
+    pub fn repositories(&self, policy: RetryPolicy) -> Repositories {
+        let connectors = self.repositories.iter().cloned().map(Self::tcp_connector).collect();
+        Repositories::new(connectors, policy)
     }
 
-    /// A re-dialing [`mp_gsi::transport::Connector`] for the retrying
-    /// client operations: every retry attempt gets a fresh TCP
-    /// connection.
+    /// The address that answered a [`Repositories`] call which spent
+    /// `attempts` dials (attempts walk the list in order, wrapping).
+    pub fn answered_by(&self, attempts: u32) -> &str {
+        let n = self.repositories.len().max(1);
+        self.repositories
+            .get((attempts.max(1) as usize - 1) % n)
+            .map_or(self.server_addr.as_str(), String::as_str)
+    }
+
+    /// A re-dialing [`mp_gsi::transport::Connector`] for the dialled
+    /// server: every call is a fresh TCP connection.
     pub fn connector(&self) -> mp_gsi::transport::Connector {
         Self::tcp_connector(self.server_addr.clone())
-    }
-
-    /// One re-dialing connector per configured repository, in list
-    /// order — the argument shape the `*_failover` operations take.
-    pub fn repository_connectors(&self) -> Vec<mp_gsi::transport::Connector> {
-        self.repositories.iter().cloned().map(Self::tcp_connector).collect()
     }
 
     fn tcp_connector(addr: String) -> mp_gsi::transport::Connector {
         std::sync::Arc::new(move || {
             std::net::TcpStream::connect(&addr)
                 .map(|s| Box::new(s) as mp_gsi::transport::BoxedTransport)
+                .map_err(|e| std::io::Error::new(e.kind(), format!("cannot connect to {addr}: {e}")))
         })
     }
 }
@@ -274,8 +287,24 @@ pub fn explain(e: &mp_myproxy::MyProxyError) -> String {
     }
 }
 
+/// The whole of every tool's `main`: parse the command line, answer
+/// `--help` or a malformed one with `usage` (exit 2), otherwise `run`
+/// and exit 1 on its error.
+pub fn main_with(usage: &str, run: impl FnOnce(&Args) -> Result<(), String>) {
+    let args = match Args::from_env() {
+        Ok(a) => a,
+        Err(e) => usage_exit(usage, Some(e)),
+    };
+    if args.has("help") {
+        usage_exit(usage, None);
+    }
+    if let Err(e) = run(&args) {
+        die(e);
+    }
+}
+
 /// Print usage and exit(2) if `--help` was asked or `err` is Some.
-pub fn usage_exit(usage: &str, err: Option<String>) -> ! {
+fn usage_exit(usage: &str, err: Option<String>) -> ! {
     if let Some(e) = err {
         eprintln!("error: {e}\n");
     }
@@ -284,7 +313,7 @@ pub fn usage_exit(usage: &str, err: Option<String>) -> ! {
 }
 
 /// Exit(1) with an error message.
-pub fn die(msg: impl std::fmt::Display) -> ! {
+fn die(msg: impl std::fmt::Display) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(1)
 }

@@ -344,6 +344,83 @@ fn sigkill_mid_burst_loses_no_acked_credentials() {
     }
 }
 
+/// A front door that sheds its first connection with the GSI BUSY
+/// frame — exactly what the server's pool does at its connection cap —
+/// and relays every later one to the repository on `backend`.
+fn shed_first_then_relay(backend: u16) -> u16 {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let port = listener.local_addr().unwrap().port();
+    std::thread::spawn(move || {
+        for (i, conn) in listener.incoming().enumerate() {
+            let Ok(mut conn) = conn else { return };
+            if i == 0 {
+                let _ = mp_gsi::channel::send_busy(&mut conn, "connection limit reached; retry-after-ms=10");
+                continue;
+            }
+            let Ok(upstream) = std::net::TcpStream::connect(("127.0.0.1", backend)) else { return };
+            let pipes = [
+                (conn.try_clone().unwrap(), upstream.try_clone().unwrap()),
+                (upstream, conn),
+            ];
+            for (mut from, mut to) in pipes {
+                std::thread::spawn(move || {
+                    let _ = std::io::copy(&mut from, &mut to);
+                    let _ = to.shutdown(std::net::Shutdown::Write);
+                });
+            }
+        }
+    });
+    port
+}
+
+/// A running repository holding one credential for alice.
+fn info_fixture(label: &str) -> (TempDir, ServerGuard, u16) {
+    let dir = TempDir::new(label);
+    setup_pki(&dir);
+    let port = free_port();
+    let server = start_server(&dir, port, false);
+    let mut cmd = bin("myproxy-init");
+    cmd.args(client_args(&dir, "alice.pem", port));
+    cmd.args(["--username", "alice", "--passphrase", "kiosk pass phrase"]);
+    run_ok(&mut cmd);
+    (dir, server, port)
+}
+
+/// `myproxy-info` as alice against `--server` / `--repositories` `addr`.
+fn info_cmd(dir: &TempDir, target_flag: &str, addr: String, extra: &[&str]) -> Command {
+    let mut args = client_args(dir, "alice.pem", 0);
+    args[0] = target_flag.into();
+    args[1] = addr;
+    let mut cmd = bin("myproxy-info");
+    cmd.args(args);
+    cmd.args(["--username", "alice", "--passphrase", "kiosk pass phrase", "--retry-base-ms", "1"]);
+    cmd.args(extra);
+    cmd
+}
+
+#[test]
+fn info_over_a_repository_list_keeps_the_status_line_and_metrics() {
+    let (dir, _server, port) = info_fixture("info-list");
+    let list = format!("127.0.0.1:1,127.0.0.1:{port}");
+    let out = run_ok(&mut info_cmd(&dir, "--repositories", list, &["--metrics"]));
+    // The line names the repository that answered, not the dead one
+    // listed first.
+    assert!(out.contains(&format!("repository 127.0.0.1:{port}: role=primary epoch=0")), "{out}");
+    assert!(out.contains("1 credential(s)"), "{out}");
+    let metrics = out.split("server metrics:").nth(1).expect("metrics block");
+    assert!(metrics.contains("myproxy.puts 1"), "{out}");
+}
+
+#[test]
+fn info_against_a_single_server_honours_retries() {
+    let (dir, _server, port) = info_fixture("info-retries");
+    let door = |port| format!("127.0.0.1:{}", shed_first_then_relay(port));
+    let err = run_fail(&mut info_cmd(&dir, "--server", door(port), &[]));
+    assert!(err.contains("server busy"), "{err}");
+    let out = run_ok(&mut info_cmd(&dir, "--server", door(port), &["--retries", "2"]));
+    assert!(out.contains("1 credential(s)"), "{out}");
+}
+
 #[test]
 fn help_flags_work() {
     for tool in [

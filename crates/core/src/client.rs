@@ -10,7 +10,7 @@ use crate::proto::{field, render_tags, Command, Request, Response};
 use crate::server::build_renewal_proof;
 use crate::{MyProxyError, Result};
 use mp_gsi::delegate::{accept_delegation, delegate, DelegationPolicy};
-use mp_gsi::transport::{Connector, Transport};
+use mp_gsi::transport::{BoxedTransport, Connector, Transport};
 use mp_gsi::{ChannelConfig, Credential, GsiError, SecureChannel};
 use mp_crypto::Secret;
 use mp_x509::{Certificate, Dn, ProxyPolicy};
@@ -30,10 +30,9 @@ fn busy_aware(e: GsiError) -> MyProxyError {
 }
 
 /// Capped, jittered exponential backoff for **idempotent** operations
-/// (GET/INFO). Retries fire on the server's BUSY shed and on transient
-/// connect/timeout I/O errors; anything else — including every
-/// non-idempotent op, which has no retrying variant at all — surfaces
-/// immediately.
+/// (GET/INFO), applied by [`Repositories::call`]. Retries fire on the
+/// server's BUSY shed and on transient connect/timeout I/O errors;
+/// anything else surfaces immediately.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
     /// Total attempts, including the first (so 1 = no retry).
@@ -94,18 +93,11 @@ impl RetryPolicy {
     }
 
     /// Run `op` (one full dial-and-transact) up to `max_attempts`
-    /// times, sleeping between attempts. Callers pass a closure that
-    /// re-dials per attempt; a half-finished connection is never
-    /// reused.
-    pub fn run<T>(&self, op: impl FnMut() -> Result<T>) -> Result<T> {
-        self.run_counted(op).0
-    }
-
-    /// [`run`](Self::run), also reporting how many attempts were spent
-    /// (1 = the first try sufficed; retries used = attempts − 1). Load
-    /// harnesses use the count to charge retries against a global
-    /// budget so a Busy storm cannot inflate offered load unboundedly.
-    pub fn run_counted<T>(&self, mut op: impl FnMut() -> Result<T>) -> (Result<T>, u32) {
+    /// times, sleeping between attempts, and report how many attempts
+    /// were spent (1 = the first try sufficed). Private on purpose:
+    /// [`Repositories::call`] is the only retry loop, and it accepts
+    /// only [`Idempotent`] requests.
+    fn run_counted<T>(&self, mut op: impl FnMut() -> Result<T>) -> (Result<T>, u32) {
         let mut jitter = self.jitter_seed;
         let mut attempt = 0u32;
         loop {
@@ -126,6 +118,161 @@ impl RetryPolicy {
             }
         }
     }
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::GetParams {}
+    impl Sealed for super::InfoParams {}
+}
+
+/// A request that changes nothing on the repository, so sending it
+/// again — to the same repository after a BUSY shed, or to the next
+/// one after a dead dial — can never apply an operation twice.
+///
+/// Sealed, and implemented for exactly [`GetParams`] (GET / OTP_GET)
+/// and [`InfoParams`] (INFO). PUT, STORE_LONG_TERM, DESTROY,
+/// CHANGE_PASSPHRASE, OTP_SETUP and PROMOTE mutate the store or the
+/// replication epoch: a timed-out attempt may already have been
+/// applied (and a rotated one would apply it to a second repository),
+/// so their request types do not implement this trait and
+/// [`Repositories::call`] does not compile with them. DESIGN.md §4.4
+/// has the per-command reasons.
+pub trait Idempotent: sealed::Sealed {
+    /// What the repository answers.
+    type Reply;
+
+    /// One attempt over a freshly dialled `transport`.
+    #[doc(hidden)]
+    fn perform<R: Rng + ?Sized>(
+        &self,
+        client: &MyProxyClient,
+        transport: BoxedTransport,
+        cred: &Credential,
+        rng: &mut R,
+        now: u64,
+    ) -> Result<Self::Reply>;
+}
+
+impl Idempotent for GetParams {
+    type Reply = Credential;
+
+    fn perform<R: Rng + ?Sized>(
+        &self,
+        client: &MyProxyClient,
+        transport: BoxedTransport,
+        cred: &Credential,
+        rng: &mut R,
+        now: u64,
+    ) -> Result<Credential> {
+        client.get_delegation(transport, cred, self, rng, now)
+    }
+}
+
+impl Idempotent for InfoParams {
+    type Reply = InfoReply;
+
+    fn perform<R: Rng + ?Sized>(
+        &self,
+        client: &MyProxyClient,
+        transport: BoxedTransport,
+        cred: &Credential,
+        rng: &mut R,
+        now: u64,
+    ) -> Result<InfoReply> {
+        client.info_reply(transport, cred, self, rng, now)
+    }
+}
+
+fn dial_error(e: std::io::Error) -> MyProxyError {
+    MyProxyError::Gsi(GsiError::Io(e))
+}
+
+/// Where a client operation goes: an ordered repository list
+/// (`--repositories a:7512,b:7512`; a single `--server` is a list of
+/// one) and the [`RetryPolicy`] for idempotent requests ("no retry" is
+/// `max_attempts = 1`). The only two ways to run an operation against
+/// it are [`call`](Self::call) and [`call_once`](Self::call_once);
+/// both report how many dials were spent, so the repository that
+/// answered is `connectors[(attempts - 1) % len]`.
+///
+/// The retry loop takes only [`Idempotent`] requests, so "never retry
+/// a PUT" is a type error rather than a convention:
+///
+/// ```
+/// use mp_myproxy::client::{GetParams, MyProxyClient, Repositories};
+/// fn get(repos: &Repositories, client: &MyProxyClient, cred: &mp_gsi::Credential) {
+///     let mut rng = mp_crypto::HmacDrbg::new(b"doc");
+///     let _ = repos.call(client, cred, &GetParams::new("alice", "pw"), &mut rng, 0);
+/// }
+/// ```
+///
+/// ```compile_fail
+/// use mp_myproxy::client::{InitParams, MyProxyClient, Repositories};
+/// fn put(repos: &Repositories, client: &MyProxyClient, cred: &mp_gsi::Credential) {
+///     let mut rng = mp_crypto::HmacDrbg::new(b"doc");
+///     // error[E0277]: the trait bound `InitParams: Idempotent` is not satisfied
+///     let _ = repos.call(client, cred, &InitParams::new("alice", "pw"), &mut rng, 0);
+/// }
+/// ```
+pub struct Repositories {
+    connectors: Vec<Connector>,
+    policy: RetryPolicy,
+}
+
+impl Repositories {
+    /// `connectors` in preference order; `policy` governs
+    /// [`call`](Self::call) only.
+    pub fn new(connectors: Vec<Connector>, policy: RetryPolicy) -> Self {
+        Repositories { connectors, policy }
+    }
+
+    /// Run an idempotent request: every attempt the policy grants
+    /// re-dials, moving to the next repository in order (wrapping
+    /// around), until one answers, a permanent error surfaces, or
+    /// attempts run out. Returns the result and the attempts spent.
+    pub fn call<Q: Idempotent, R: Rng + ?Sized>(
+        &self,
+        client: &MyProxyClient,
+        cred: &Credential,
+        request: &Q,
+        rng: &mut R,
+        now: u64,
+    ) -> (Result<Q::Reply>, u32) {
+        let mut next = 0usize;
+        self.policy.run_counted(|| {
+            let connector = self
+                .connectors
+                .get(next % self.connectors.len().max(1))
+                .ok_or_else(empty_list)?;
+            next += 1;
+            request.perform(client, connector().map_err(dial_error)?, cred, rng, now)
+        })
+    }
+
+    /// Run any operation exactly once. A repository is skipped only
+    /// when its *dial* is refused (nothing was sent); the first one
+    /// that accepts a connection gets the one and only `op`, and
+    /// whatever happens after that surfaces as is — a mutation is
+    /// never replayed, on this repository or the next. Returns the
+    /// result and the dials spent.
+    pub fn call_once<T>(&self, op: impl FnOnce(BoxedTransport) -> Result<T>) -> (Result<T>, u32) {
+        let mut refused = None;
+        let mut dials = 0u32;
+        for connector in &self.connectors {
+            dials += 1;
+            match connector() {
+                Ok(transport) => return (op(transport), dials),
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => refused = Some(e),
+                Err(e) => return (Err(dial_error(e)), dials),
+            }
+        }
+        (Err(refused.map(dial_error).unwrap_or_else(empty_list)), dials)
+    }
+}
+
+fn empty_list() -> MyProxyError {
+    MyProxyError::Protocol("empty repository list".into())
 }
 
 /// Parameters for `myproxy-init` (PUT) and STORE_LONG_TERM.
@@ -235,6 +382,41 @@ impl GetParams {
         }
         req
     }
+}
+
+/// Parameters for `myproxy-info` (INFO).
+#[derive(Clone, Debug)]
+pub struct InfoParams {
+    /// Repository account name.
+    pub username: String,
+    /// Retrieval pass phrase.
+    pub passphrase: Secret<String>,
+    /// Also ask for the server's metrics snapshot (`METRICS=1`).
+    pub metrics: bool,
+}
+
+impl InfoParams {
+    /// A plain listing, no metrics.
+    pub fn new(username: &str, passphrase: &str) -> Self {
+        InfoParams {
+            username: username.to_string(),
+            passphrase: Secret::from(passphrase),
+            metrics: false,
+        }
+    }
+}
+
+/// Everything one INFO response carries.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InfoReply {
+    /// The user's stored credentials.
+    pub creds: Vec<CredInfo>,
+    /// Role and epoch of the repository that answered.
+    pub status: RepoStatus,
+    /// The server's registry snapshot, one compact `name value` /
+    /// percentile line per metric (see [`mp_obs::render_compact`]);
+    /// empty unless [`InfoParams::metrics`] was set.
+    pub metrics: Vec<String>,
 }
 
 /// Parsed `myproxy-info` line.
@@ -386,26 +568,6 @@ impl MyProxyClient {
         )?)
     }
 
-    /// [`get_delegation`](Self::get_delegation) with retries. GET is
-    /// idempotent (it mutates nothing server-side), so re-sending after
-    /// a BUSY shed or a transient connect failure is always safe; each
-    /// attempt re-dials through `connector`. PUT-shaped operations
-    /// deliberately have no retrying variant.
-    pub fn get_delegation_retrying<R: Rng + ?Sized>(
-        &self,
-        connector: &Connector,
-        cred: &Credential,
-        params: &GetParams,
-        policy: &RetryPolicy,
-        rng: &mut R,
-        now: u64,
-    ) -> Result<Credential> {
-        policy.run(|| {
-            let transport = connector().map_err(|e| MyProxyError::Gsi(GsiError::Io(e)))?;
-            self.get_delegation(transport, cred, params, rng, now)
-        })
-    }
-
     /// `myproxy-info`: list stored credentials (pass-phrase
     /// authenticated).
     pub fn info<T: Transport, R: Rng + ?Sized>(
@@ -417,37 +579,13 @@ impl MyProxyClient {
         rng: &mut R,
         now: u64,
     ) -> Result<Vec<CredInfo>> {
-        let mut channel = self.open_channel(transport, cred, rng, now)?;
-        let req = Request::new(Command::Info)
-            .field(field::USERNAME, username)
-            .field(field::PASSPHRASE, passphrase);
-        let resp = Self::transact(&mut channel, &req)?;
-        resp.all("CRED").iter().map(|line| parse_cred_info(line)).collect()
+        let params = InfoParams::new(username, passphrase);
+        Ok(self.info_reply(transport, cred, &params, rng, now)?.creds)
     }
 
-    /// [`info`](Self::info) with retries (INFO is read-only, so always
-    /// idempotent); each attempt re-dials through `connector`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn info_retrying<R: Rng + ?Sized>(
-        &self,
-        connector: &Connector,
-        cred: &Credential,
-        username: &str,
-        passphrase: &str,
-        policy: &RetryPolicy,
-        rng: &mut R,
-        now: u64,
-    ) -> Result<Vec<CredInfo>> {
-        policy.run(|| {
-            let transport = connector().map_err(|e| MyProxyError::Gsi(GsiError::Io(e)))?;
-            self.info(transport, cred, username, passphrase, rng, now)
-        })
-    }
-
-    /// [`info`](Self::info) plus the answering repository's
-    /// replication role and epoch (`myproxy-info` prints these so an
-    /// operator can confirm which side of a failover they reached).
-    pub fn info_with_status<T: Transport, R: Rng + ?Sized>(
+    /// `myproxy-info --metrics`: the INFO listing plus the server's
+    /// registry snapshot (see [`InfoReply::metrics`]).
+    pub fn info_with_metrics<T: Transport, R: Rng + ?Sized>(
         &self,
         transport: T,
         cred: &Credential,
@@ -455,16 +593,35 @@ impl MyProxyClient {
         passphrase: &str,
         rng: &mut R,
         now: u64,
-    ) -> Result<(Vec<CredInfo>, RepoStatus)> {
+    ) -> Result<(Vec<CredInfo>, Vec<String>)> {
+        let mut params = InfoParams::new(username, passphrase);
+        params.metrics = true;
+        let reply = self.info_reply(transport, cred, &params, rng, now)?;
+        Ok((reply.creds, reply.metrics))
+    }
+
+    /// The one INFO exchange and the one place its response is parsed.
+    fn info_reply<T: Transport, R: Rng + ?Sized>(
+        &self,
+        transport: T,
+        cred: &Credential,
+        params: &InfoParams,
+        rng: &mut R,
+        now: u64,
+    ) -> Result<InfoReply> {
         let mut channel = self.open_channel(transport, cred, rng, now)?;
-        let req = Request::new(Command::Info)
-            .field(field::USERNAME, username)
-            .field(field::PASSPHRASE, passphrase);
+        let mut req = Request::new(Command::Info)
+            .field(field::USERNAME, &params.username)
+            .secret_field(field::PASSPHRASE, &params.passphrase);
+        if params.metrics {
+            req = req.field("METRICS", "1");
+        }
         let resp = Self::transact(&mut channel, &req)?;
-        let status = parse_repo_status(&resp);
-        let infos: Result<Vec<CredInfo>> =
-            resp.all("CRED").iter().map(|line| parse_cred_info(line)).collect();
-        Ok((infos?, status))
+        Ok(InfoReply {
+            creds: resp.all("CRED").iter().map(|line| parse_cred_info(line)).collect::<Result<_>>()?,
+            status: parse_repo_status(&resp),
+            metrics: resp.all("METRIC").iter().map(|s| s.to_string()).collect(),
+        })
     }
 
     /// PROMOTE (admin, restricted by the `replication_peers` ACL): ask
@@ -481,108 +638,6 @@ impl MyProxyClient {
         let mut channel = self.open_channel(transport, cred, rng, now)?;
         let resp = Self::transact(&mut channel, &Request::new(Command::Promote))?;
         Ok(parse_repo_status(&resp))
-    }
-
-    /// [`get_delegation`](Self::get_delegation) across a repository
-    /// list (`--repositories a:7512,b:7512`). GET is idempotent, so it
-    /// fails over freely: every retry the [`RetryPolicy`] grants moves
-    /// to the next repository in order, wrapping around, until one
-    /// answers or attempts run out.
-    pub fn get_delegation_failover<R: Rng + ?Sized>(
-        &self,
-        connectors: &[Connector],
-        cred: &Credential,
-        params: &GetParams,
-        policy: &RetryPolicy,
-        rng: &mut R,
-        now: u64,
-    ) -> Result<Credential> {
-        let mut next = 0usize;
-        policy.run(|| {
-            let connector = connectors
-                .get(next % connectors.len().max(1))
-                .ok_or_else(|| MyProxyError::Protocol("empty repository list".into()))?;
-            next += 1;
-            let transport = connector().map_err(|e| MyProxyError::Gsi(GsiError::Io(e)))?;
-            self.get_delegation(transport, cred, params, rng, now)
-        })
-    }
-
-    /// [`info`](Self::info) across a repository list; same free
-    /// failover as [`get_delegation_failover`](Self::get_delegation_failover).
-    #[allow(clippy::too_many_arguments)]
-    pub fn info_failover<R: Rng + ?Sized>(
-        &self,
-        connectors: &[Connector],
-        cred: &Credential,
-        username: &str,
-        passphrase: &str,
-        policy: &RetryPolicy,
-        rng: &mut R,
-        now: u64,
-    ) -> Result<Vec<CredInfo>> {
-        let mut next = 0usize;
-        policy.run(|| {
-            let connector = connectors
-                .get(next % connectors.len().max(1))
-                .ok_or_else(|| MyProxyError::Protocol("empty repository list".into()))?;
-            next += 1;
-            let transport = connector().map_err(|e| MyProxyError::Gsi(GsiError::Io(e)))?;
-            self.info(transport, cred, username, passphrase, rng, now)
-        })
-    }
-
-    /// [`init`](Self::init) across a repository list. PUT mutates, so
-    /// failover is deliberately narrow: a repository is skipped only
-    /// when the *dial* is refused (nothing was sent); the first
-    /// repository that accepts a connection gets the one and only PUT,
-    /// and any failure after that surfaces immediately — the PR 5
-    /// non-retry invariant for non-idempotent operations holds across
-    /// a repository list too.
-    pub fn init_failover<R: Rng + ?Sized>(
-        &self,
-        connectors: &[Connector],
-        cred: &Credential,
-        params: &InitParams,
-        rng: &mut R,
-        now: u64,
-    ) -> Result<u64> {
-        let mut last_err: Option<MyProxyError> = None;
-        for connector in connectors {
-            match connector() {
-                Ok(transport) => return self.init(transport, cred, params, rng, now),
-                Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => {
-                    last_err = Some(MyProxyError::Gsi(GsiError::Io(e)));
-                }
-                Err(e) => return Err(MyProxyError::Gsi(GsiError::Io(e))),
-            }
-        }
-        Err(last_err
-            .unwrap_or_else(|| MyProxyError::Protocol("empty repository list".into())))
-    }
-
-    /// `myproxy-info --metrics`: the INFO listing plus the server's
-    /// registry snapshot, one compact `name value`/percentile line per
-    /// metric (see [`mp_obs::render_compact`] for the line shapes).
-    pub fn info_with_metrics<T: Transport, R: Rng + ?Sized>(
-        &self,
-        transport: T,
-        cred: &Credential,
-        username: &str,
-        passphrase: &str,
-        rng: &mut R,
-        now: u64,
-    ) -> Result<(Vec<CredInfo>, Vec<String>)> {
-        let mut channel = self.open_channel(transport, cred, rng, now)?;
-        let req = Request::new(Command::Info)
-            .field(field::USERNAME, username)
-            .field(field::PASSPHRASE, passphrase)
-            .field("METRICS", "1");
-        let resp = Self::transact(&mut channel, &req)?;
-        let infos: Result<Vec<CredInfo>> =
-            resp.all("CRED").iter().map(|line| parse_cred_info(line)).collect();
-        let metrics = resp.all("METRIC").iter().map(|s| s.to_string()).collect();
-        Ok((infos?, metrics))
     }
 
     /// `myproxy-destroy` (§4.1): remove a stored credential.
@@ -738,6 +793,8 @@ fn parse_cred_info(line: &str) -> Result<CredInfo> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn cred_info_parsing() {
@@ -789,7 +846,7 @@ mod tests {
             jitter_seed: 7,
         };
         let mut calls = 0;
-        let result: Result<u32> = policy.run(|| {
+        let (result, _) = policy.run_counted(|| {
             calls += 1;
             if calls < 3 {
                 Err(MyProxyError::busy("retry-after-ms=0"))
@@ -810,9 +867,9 @@ mod tests {
             jitter_seed: 7,
         };
         let mut calls = 0;
-        let result: Result<u32> = policy.run(|| {
+        let (result, _) = policy.run_counted(|| {
             calls += 1;
-            Err(MyProxyError::busy("still busy"))
+            Err::<u32, _>(MyProxyError::busy("still busy"))
         });
         assert!(result.unwrap_err().is_busy());
         assert_eq!(calls, 3);
@@ -846,9 +903,9 @@ mod tests {
     fn retry_policy_never_retries_permanent_errors() {
         let policy = RetryPolicy::default();
         let mut calls = 0;
-        let result: Result<u32> = policy.run(|| {
+        let (result, _) = policy.run_counted(|| {
             calls += 1;
-            Err(MyProxyError::Refused("authentication failed".into()))
+            Err::<u32, _>(MyProxyError::Refused("authentication failed".into()))
         });
         assert!(result.is_err());
         assert_eq!(calls, 1, "a refusal is permanent; one attempt only");
@@ -868,5 +925,65 @@ mod tests {
         assert!(d <= 100, "cap still applies, got {d}");
         let d_late = policy.delay_ms(30, &mut state, None);
         assert!(d_late <= 100, "exponent overflow clamped, got {d_late}");
+    }
+
+    fn failing_connector(kind: std::io::ErrorKind, dials: &Arc<AtomicU32>) -> Connector {
+        let dials = dials.clone();
+        Arc::new(move || {
+            dials.fetch_add(1, Ordering::Relaxed);
+            Err(std::io::Error::new(kind, "injected dial failure"))
+        })
+    }
+
+    #[test]
+    fn call_once_surfaces_a_non_refused_dial_error_without_moving_on() {
+        let (first, second) = (Arc::new(AtomicU32::new(0)), Arc::new(AtomicU32::new(0)));
+        let repos = Repositories::new(
+            vec![
+                failing_connector(std::io::ErrorKind::PermissionDenied, &first),
+                failing_connector(std::io::ErrorKind::ConnectionRefused, &second),
+            ],
+            RetryPolicy::default(),
+        );
+        let (result, dials) = repos.call_once(|_| Ok(()));
+        match result {
+            Err(MyProxyError::Gsi(GsiError::Io(e))) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::PermissionDenied)
+            }
+            other => panic!("expected the first dial's error, got {other:?}"),
+        }
+        assert_eq!((dials, first.load(Ordering::Relaxed), second.load(Ordering::Relaxed)), (1, 1, 0));
+
+        // Refused dials do move on; the last refusal is what surfaces.
+        let repos = Repositories::new(
+            vec![
+                failing_connector(std::io::ErrorKind::ConnectionRefused, &first),
+                failing_connector(std::io::ErrorKind::ConnectionRefused, &second),
+            ],
+            RetryPolicy::default(),
+        );
+        let (result, dials) = repos.call_once(|_| Ok(()));
+        assert!(matches!(result, Err(MyProxyError::Gsi(GsiError::Io(_)))));
+        assert_eq!((dials, second.load(Ordering::Relaxed)), (2, 1));
+    }
+
+    #[test]
+    fn call_on_an_empty_list_is_a_typed_error() {
+        let key = mp_x509::test_util::test_rsa_key(0);
+        let dn = Dn::parse("/O=Grid/CN=nobody").unwrap();
+        let ca = mp_x509::CertificateAuthority::new_root(dn, key.clone(), 0, 1_000).unwrap();
+        let cred = Credential::new(vec![ca.certificate().clone()], key.clone()).unwrap();
+        let repos = Repositories::new(Vec::new(), RetryPolicy::default());
+        let client = MyProxyClient::new(Vec::new(), None);
+        let mut rng = mp_x509::test_util::test_drbg("empty list");
+        let (result, attempts) = repos.call(&client, &cred, &GetParams::new("u", "p"), &mut rng, 0);
+        assert!(
+            matches!(&result, Err(MyProxyError::Protocol(m)) if m.contains("empty repository list")),
+            "got {result:?}"
+        );
+        assert_eq!(attempts, 1, "a permanent error is not retried");
+        let (result, dials) = repos.call_once(|_| Ok(()));
+        assert!(matches!(result, Err(MyProxyError::Protocol(_))));
+        assert_eq!(dials, 0);
     }
 }

@@ -13,7 +13,7 @@
 //! renewal entries degrade gracefully to pass-phrase-only entries.
 
 use crate::store::{CredStore, StoredCredential};
-use crate::wal::{RealVfs, Vfs, JOURNAL_FILE};
+use crate::wal::{Vfs, JOURNAL_FILE};
 use crate::MyProxyError;
 use mp_crypto::base64;
 use std::path::Path;
@@ -235,22 +235,13 @@ impl CredStore {
         }
         Ok(corrupt)
     }
-
-    /// [`CredStore::save_snapshot`] over the real filesystem.
-    pub fn save_to_dir(&self, dir: &Path) -> std::io::Result<()> {
-        self.save_snapshot(dir, &RealVfs)
-    }
-
-    /// [`CredStore::load_snapshot`] over the real filesystem.
-    pub fn load_from_dir(&self, dir: &Path) -> std::io::Result<Vec<CorruptEntry>> {
-        self.load_snapshot(dir, &RealVfs)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::store::DEFAULT_NAME;
+    use crate::wal::RealVfs;
     use mp_gsi::Credential;
     use mp_x509::test_util::{test_drbg, test_rsa_key};
     use mp_x509::{CertificateAuthority, Dn};
@@ -311,11 +302,11 @@ mod tests {
         store
             .put("bob", "special", "bobpass", &credential(), 100, 200, true, vec![], &mut rng)
             .unwrap();
-        store.save_to_dir(&dir).unwrap();
+        store.save_snapshot(&dir, &RealVfs).unwrap();
 
         // A fresh store (same PBKDF2 iterations) loads everything back.
         let restored = CredStore::new(10);
-        let corrupt = restored.load_from_dir(&dir).unwrap();
+        let corrupt = restored.load_snapshot(&dir, &RealVfs).unwrap();
         assert!(corrupt.is_empty());
         assert_eq!(restored.len(), 2);
         assert!(restored.open("alice", DEFAULT_NAME, "pass!").is_ok());
@@ -331,9 +322,9 @@ mod tests {
         store
             .put("alice", DEFAULT_NAME, "pass!!", &credential(), 1, 1, false, vec![], &mut rng)
             .unwrap();
-        store.save_to_dir(&dir).unwrap();
+        store.save_snapshot(&dir, &RealVfs).unwrap();
         store.destroy("alice", DEFAULT_NAME, "pass!!").unwrap();
-        store.save_to_dir(&dir).unwrap();
+        store.save_snapshot(&dir, &RealVfs).unwrap();
         let remaining: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .filter(|e| {
@@ -351,14 +342,14 @@ mod tests {
         store
             .put("ok", DEFAULT_NAME, "pass!!", &credential(), 1, 1, false, vec![], &mut rng)
             .unwrap();
-        store.save_to_dir(&dir).unwrap();
-        // Corruption appears after the save (save_to_dir sweeps files it
+        store.save_snapshot(&dir, &RealVfs).unwrap();
+        // Corruption appears after the save (the save sweeps files it
         // does not own, so write these afterwards).
         std::fs::write(dir.join("junk.cred"), "not a store file").unwrap();
         std::fs::write(dir.join("other.cred"), format!("{MAGIC}\nusername=x\n")).unwrap();
 
         let restored = CredStore::new(10);
-        let corrupt = restored.load_from_dir(&dir).unwrap();
+        let corrupt = restored.load_snapshot(&dir, &RealVfs).unwrap();
         assert_eq!(corrupt.len(), 2, "two bad files reported");
         assert_eq!(restored.len(), 1, "good entry loaded");
     }
@@ -372,7 +363,7 @@ mod tests {
         store
             .put("alice", DEFAULT_NAME, "pass!!", &cred, 1, 1, false, vec![], &mut rng)
             .unwrap();
-        store.save_to_dir(&dir).unwrap();
+        store.save_snapshot(&dir, &RealVfs).unwrap();
         let file = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().path())

@@ -371,17 +371,11 @@ impl MyProxyServer {
     }
 
     /// Serve one connection: handshake, one request, response (plus the
-    /// delegation sub-protocol where the command calls for it).
-    pub fn handle<T: Transport>(&self, transport: T) -> crate::Result<()> {
-        let mut rng = self.conn_rng();
-        let mut channel = self.accept_conn(transport, &mut rng)?;
-        self.serve_channel(&mut channel, &mut rng)
-    }
-
-    /// Like [`handle`](Self::handle), but re-arms the transport with the
-    /// per-request idle deadline once the handshake has completed (the
-    /// pool arms the stricter handshake deadline before this runs).
-    pub fn handle_deadlined<T: Transport + DeadlineControl>(
+    /// delegation sub-protocol where the command calls for it). The
+    /// caller arms the handshake deadline before handing the transport
+    /// over; once the handshake completes it is re-armed with the
+    /// per-request `idle_deadline`.
+    pub fn handle<T: Transport + DeadlineControl>(
         &self,
         transport: T,
         idle_deadline: Option<Duration>,
@@ -1107,23 +1101,12 @@ impl MyProxyServer {
     /// [`HandlerSet`] so [`drain_local_handlers`](Self::drain_local_handlers)
     /// can join it; errors land in stats.
     pub fn connect_local(&self) -> mp_gsi::MemStream {
-        let (client_end, server_end) = mp_gsi::duplex();
         let server = self.clone();
-        let spawned = self.state.local_handlers.spawn("myproxy-conn", move || {
-            // Mirror the pool's deadline discipline: handshake deadline
-            // armed before any I/O, idle deadline once it completes.
-            let cfg = NetConfig::default();
-            server_end.set_deadlines(cfg.handshake_deadline, cfg.handshake_deadline);
-            if server.handle_deadlined(server_end, cfg.idle_deadline).is_err() {
-                server.state.stats.handler_errors.inc();
-            }
-        });
-        // A failed spawn drops the server end, so the client sees EOF;
-        // count it where detached-handler failures are counted.
-        if spawned.is_err() {
-            self.state.stats.handler_errors.inc();
-        }
-        client_end
+        self.state.local_handlers.connect_local(
+            "myproxy-conn",
+            &self.state.stats.handler_errors,
+            move |conn, idle| server.handle(conn, idle),
+        )
     }
 
     /// Join every handler thread started by
@@ -1136,7 +1119,7 @@ impl MyProxyServer {
 
     /// This server as a pool [`Service`] (shared by all workers).
     pub fn service(&self) -> Arc<MyProxyService> {
-        Arc::new(MyProxyService { server: self.clone() })
+        Arc::new(MyProxyService { server: self.clone(), log: false })
     }
 
     /// Serve TCP connections on a bounded worker pool with default
@@ -1145,16 +1128,8 @@ impl MyProxyServer {
     /// drop the handle to run detached, or keep it for
     /// [`ShutdownHandle::shutdown`].
     pub fn serve_tcp(&self, listener: std::net::TcpListener) -> std::io::Result<ShutdownHandle> {
-        self.serve_tcp_with(listener, NetConfig::default())
-    }
-
-    /// [`serve_tcp`](Self::serve_tcp) with explicit pool tuning.
-    pub fn serve_tcp_with(
-        &self,
-        listener: std::net::TcpListener,
-        cfg: NetConfig,
-    ) -> std::io::Result<ShutdownHandle> {
-        net::serve_scoped(TcpAcceptor::new(listener)?, self.service(), cfg, &self.state.obs, "myproxy")
+        let acceptor = TcpAcceptor::new(listener)?;
+        net::serve_scoped(acceptor, self.service(), NetConfig::default(), &self.state.obs, "myproxy")
     }
 
     /// Serve in-memory connections on the same pool machinery: push
@@ -1174,6 +1149,18 @@ impl MyProxyServer {
 /// [`Service`] adapter driving a [`MyProxyServer`] from a worker pool.
 pub struct MyProxyService {
     server: MyProxyServer,
+    /// Narrate on stderr (the daemon's operator log).
+    log: bool,
+}
+
+impl MyProxyService {
+    /// The service as `myproxy-server` runs it: the same handling as
+    /// [`MyProxyServer::service`], plus one stderr line per connection
+    /// (`<peer>: ok` or `<peer>: <error>`), per sweep that purged
+    /// something, and per automatic promotion.
+    pub fn logging(server: &MyProxyServer) -> Arc<Self> {
+        Arc::new(MyProxyService { server: server.clone(), log: true })
+    }
 }
 
 /// Commands that change the credential store (a standby refuses
@@ -1194,23 +1181,19 @@ fn mutates_store(cmd: Command) -> bool {
     }
 }
 
-/// Classify a handler failure for the pool's accounting: deadline
-/// evictions are `Timeout`, everything else `Error`.
-fn outcome_of(result: &crate::Result<()>) -> Outcome {
-    match result {
-        Ok(()) => Outcome::Ok,
-        Err(MyProxyError::Gsi(GsiError::Io(e)))
-            if matches!(e.kind(), std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock) =>
-        {
-            Outcome::Timeout
-        }
-        Err(_) => Outcome::Error,
-    }
-}
-
 impl<C: Transport + DeadlineControl + 'static> Service<C> for MyProxyService {
     fn handle(&self, conn: C, idle_deadline: Option<Duration>) -> Outcome {
-        outcome_of(&self.server.handle_deadlined(conn, idle_deadline))
+        let peer = self.log.then(|| conn.peer_label().unwrap_or_default());
+        let result = self.server.handle(conn, idle_deadline);
+        match (&peer, &result) {
+            (Some(peer), Ok(())) => eprintln!("{peer}: ok"),
+            (Some(peer), Err(e)) => eprintln!("{peer}: {e}"),
+            (None, _) => {}
+        }
+        net::outcome_of(&result, |e| match e {
+            MyProxyError::Gsi(GsiError::Io(io)) => Some(io),
+            _ => None,
+        })
     }
 
     fn shed(&self, mut conn: C) {
@@ -1222,9 +1205,17 @@ impl<C: Transport + DeadlineControl + 'static> Service<C> for MyProxyService {
     }
 
     fn sweep(&self) {
-        self.server.purge_expired();
-        // Standby primary-loss detection rides the same tick.
-        self.server.check_auto_promote();
+        let purged = self.server.purge_expired();
+        // Standby primary-loss detection rides the same tick; on a
+        // primary (or a standby with manual promotion) this is a no-op.
+        let promoted = self.server.check_auto_promote();
+        if self.log && purged > 0 {
+            eprintln!("purged {purged} expired credentials");
+        }
+        if self.log && promoted {
+            let (_, epoch) = self.server.replication_status();
+            eprintln!("primary heartbeat lost: promoted to primary (epoch {epoch})");
+        }
     }
 }
 

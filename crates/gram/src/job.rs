@@ -152,17 +152,9 @@ impl JobManager {
     }
 
     /// Serve one connection (SUBMIT / STATUS / CANCEL).
-    pub fn handle<T: Transport, R: Rng + ?Sized>(&self, transport: T, rng: &mut R) -> Result<()> {
-        let st = &self.inner;
-        let now = st.clock.now();
-        let mut channel =
-            SecureChannel::accept(transport, &st.credential, &st.channel_cfg, rng, now)?;
-        self.serve_channel(&mut channel, rng)
-    }
-
-    /// Like [`handle`](Self::handle), but re-arms the transport with the
-    /// per-request idle deadline once the handshake has completed.
-    pub fn handle_deadlined<T: Transport + DeadlineControl, R: Rng + ?Sized>(
+    /// The caller arms the handshake deadline; once the handshake
+    /// completes the transport is re-armed with `idle_deadline`.
+    pub fn handle<T: Transport + DeadlineControl, R: Rng + ?Sized>(
         &self,
         transport: T,
         rng: &mut R,
@@ -400,23 +392,13 @@ impl JobManager {
     /// tracked so [`drain_local_handlers`](Self::drain_local_handlers)
     /// can join it.
     pub fn connect_local(&self, rng_seed: &[u8]) -> mp_gsi::MemStream {
-        let (client_end, server_end) = mp_gsi::duplex();
         let service = self.clone();
-        let seed = rng_seed.to_vec();
-        let spawned = self.inner.local_handlers.spawn("gram-conn", move || {
-            let mut rng = HmacDrbg::new(&seed);
-            // Mirror the pool's deadline discipline: handshake deadline
-            // armed before any I/O, idle deadline once it completes.
-            let cfg = NetConfig::default();
-            server_end.set_deadlines(cfg.handshake_deadline, cfg.handshake_deadline);
-            if service.handle_deadlined(server_end, &mut rng, cfg.idle_deadline).is_err() {
-                service.inner.handler_errors.inc();
-            }
-        });
-        if spawned.is_err() {
-            self.inner.handler_errors.inc();
-        }
-        client_end
+        let mut rng = HmacDrbg::new(rng_seed);
+        self.inner.local_handlers.connect_local(
+            "gram-conn",
+            &self.inner.handler_errors,
+            move |conn, idle| service.handle(conn, &mut rng, idle),
+        )
     }
 
     /// Join every handler thread started by
@@ -441,20 +423,10 @@ impl JobManager {
         listener: std::net::TcpListener,
         rng_seed: &[u8],
     ) -> std::io::Result<ShutdownHandle> {
-        self.serve_tcp_with(listener, rng_seed, NetConfig::default())
-    }
-
-    /// [`serve_tcp`](Self::serve_tcp) with explicit pool tuning.
-    pub fn serve_tcp_with(
-        &self,
-        listener: std::net::TcpListener,
-        rng_seed: &[u8],
-        cfg: NetConfig,
-    ) -> std::io::Result<ShutdownHandle> {
         net::serve_scoped(
             TcpAcceptor::new(listener)?,
             self.service(rng_seed),
-            cfg,
+            NetConfig::default(),
             &self.inner.obs,
             "gram.job",
         )
@@ -479,7 +451,7 @@ impl JobManagerService {
 impl<C: Transport + DeadlineControl + 'static> Service<C> for JobManagerService {
     fn handle(&self, conn: C, idle_deadline: Option<Duration>) -> Outcome {
         let mut rng = self.conn_rng();
-        crate::outcome_of(&self.jm.handle_deadlined(conn, &mut rng, idle_deadline))
+        net::outcome_of(&self.jm.handle(conn, &mut rng, idle_deadline), GramError::io_cause)
     }
 
     fn shed(&self, mut conn: C) {

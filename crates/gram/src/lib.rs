@@ -37,6 +37,17 @@ impl From<GsiError> for GramError {
     }
 }
 
+impl GramError {
+    /// The transport failure underneath, if that is what this is (the
+    /// pool's timeout accounting reads its kind).
+    pub(crate) fn io_cause(&self) -> Option<&std::io::Error> {
+        match self {
+            GramError::Gsi(GsiError::Io(e)) => Some(e),
+            _ => None,
+        }
+    }
+}
+
 impl std::fmt::Display for GramError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -52,21 +63,3 @@ impl std::error::Error for GramError {}
 
 /// Result alias.
 pub type Result<T> = std::result::Result<T, GramError>;
-
-/// Classify a handler result for the worker pool's accounting:
-/// deadline evictions are timeouts, everything else an error.
-pub(crate) fn outcome_of(result: &Result<()>) -> mp_gsi::net::Outcome {
-    use mp_gsi::net::Outcome;
-    match result {
-        Ok(()) => Outcome::Ok,
-        Err(GramError::Gsi(GsiError::Io(e)))
-            if matches!(
-                e.kind(),
-                std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
-            ) =>
-        {
-            Outcome::Timeout
-        }
-        Err(_) => Outcome::Error,
-    }
-}

@@ -180,6 +180,24 @@ pub enum Outcome {
     Error,
 }
 
+/// Classify a handler result for the pool's accounting, the one way
+/// every service does it: a failure whose I/O cause (`io_cause`
+/// projects it out of the service's error type) is an expired socket
+/// deadline is [`Outcome::Timeout`], any other failure
+/// [`Outcome::Error`].
+pub fn outcome_of<E>(
+    result: &Result<(), E>,
+    io_cause: impl FnOnce(&E) -> Option<&io::Error>,
+) -> Outcome {
+    match result {
+        Ok(()) => Outcome::Ok,
+        Err(e) => match io_cause(e).map(io::Error::kind) {
+            Some(io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock) => Outcome::Timeout,
+            _ => Outcome::Error,
+        },
+    }
+}
+
 /// A connection handler the pool drives. One value is shared by every
 /// worker, so implementations hold their mutable state behind locks.
 pub trait Service<C>: Send + Sync + 'static {
@@ -205,6 +223,12 @@ pub trait Service<C>: Send + Sync + 'static {
 pub trait DeadlineControl {
     /// Set both directions' deadlines (`None` clears them).
     fn set_deadlines(&self, read: Option<Duration>, write: Option<Duration>);
+
+    /// The remote address, for a daemon's per-connection log line.
+    /// In-memory transports have none.
+    fn peer_label(&self) -> Option<String> {
+        None
+    }
 }
 
 impl DeadlineControl for std::net::TcpStream {
@@ -215,6 +239,10 @@ impl DeadlineControl for std::net::TcpStream {
         let norm = |t: Option<Duration>| t.filter(|d| !d.is_zero());
         let _ = self.set_read_timeout(norm(read));
         let _ = self.set_write_timeout(norm(write));
+    }
+
+    fn peer_label(&self) -> Option<String> {
+        self.peer_addr().ok().map(|a| a.to_string())
     }
 }
 
@@ -236,6 +264,10 @@ impl<T: Read + Write + Send + DeadlineControl> FlexConn for T {}
 impl DeadlineControl for BoxedConn {
     fn set_deadlines(&self, read: Option<Duration>, write: Option<Duration>) {
         (**self).set_deadlines(read, write);
+    }
+
+    fn peer_label(&self) -> Option<String> {
+        (**self).peer_label()
     }
 }
 
@@ -957,6 +989,34 @@ impl HandlerSet {
         v.retain(|h| !h.is_finished());
         v.push(handle);
         Ok(())
+    }
+
+    /// Dial a daemon in memory: `handle` serves the server end on a
+    /// tracked thread under the pool's deadline discipline (default
+    /// [`NetConfig`]: handshake deadline armed before any I/O, the idle
+    /// deadline handed to `handle` to re-arm once the handshake is
+    /// done) and the client end is returned. A handler error — or a
+    /// failed spawn, which the client sees as EOF — is counted in
+    /// `errors`, there being no caller to return it to.
+    pub fn connect_local<E>(
+        &self,
+        name: &str,
+        errors: &Counter,
+        handle: impl FnOnce(MemStream, Option<Duration>) -> Result<(), E> + Send + 'static,
+    ) -> MemStream {
+        let (client_end, server_end) = crate::transport::duplex();
+        let cfg = NetConfig::default();
+        let counted = errors.clone();
+        let spawned = self.spawn(name, move || {
+            server_end.set_deadlines(cfg.handshake_deadline, cfg.handshake_deadline);
+            if handle(server_end, cfg.idle_deadline).is_err() {
+                counted.inc();
+            }
+        });
+        if spawned.is_err() {
+            errors.inc();
+        }
+        client_end
     }
 
     /// Join every tracked handler; returns how many were joined.

@@ -120,13 +120,6 @@ pub enum EffectKind {
     /// store gains its WAL-backed durability. Mutations before this
     /// point are not journaled.
     WalAttach,
-    /// A `*_retrying(..)` call or `policy.run(..)` — work wrapped in a
-    /// retry policy (v4: only idempotent operations may be wrapped).
-    RetryWrap,
-    /// A non-idempotent client operation (`init`, `store_long_term`,
-    /// `otp_setup`, `change_passphrase`) — must never sit under a
-    /// retry wrapper.
-    NonIdemOp,
     /// A `.tmp` staging file is created (`write_file`/`create` with a
     /// tmp-marked argument). Must be paired with a later rename or
     /// removal somewhere, else early returns leak it.
@@ -159,8 +152,6 @@ impl EffectKind {
             EffectKind::Handshake => "channel handshake",
             EffectKind::BusyShed => "BUSY/shed frame",
             EffectKind::WalAttach => "WAL durability attach",
-            EffectKind::RetryWrap => "retry-policy wrap",
-            EffectKind::NonIdemOp => "non-idempotent operation",
             EffectKind::TmpCreate => "tmp-file create",
             EffectKind::FileRemove => "file removal",
             EffectKind::Register => "handler registration",
@@ -250,7 +241,7 @@ impl CgFn {
     }
 }
 
-pub fn is_substrate_file(rel: &str) -> bool {
+fn is_substrate_file(rel: &str) -> bool {
     let norm = rel.replace('\\', "/");
     SUBSTRATE.iter().any(|s| norm.ends_with(s))
 }
@@ -567,19 +558,6 @@ fn primitive_kind(name: &str, dot: bool, args: usize, in_fn: &str) -> Option<Eff
 const WAL_ATTACH_MARKERS: &[&str] =
     &["attach_durable", "attach_wal", "enable_durability", "enable_durability_with"];
 
-/// Non-idempotent client operations (v4 R13: never retry-wrapped).
-pub(crate) const NON_IDEM_MARKERS: &[&str] =
-    &["init", "store_long_term", "otp_setup", "change_passphrase"];
-
-/// Receiver ident of the dot-call at `i` names a retry policy
-/// (`policy.run(..)`, `self.retry.run(..)`).
-fn is_retry_receiver(toks: &[Token], i: usize) -> bool {
-    i >= 2 && toks[i - 1].is_punct('.') && toks[i - 2].kind == TokenKind::Ident && {
-        let r = toks[i - 2].text.to_ascii_lowercase();
-        r.contains("retry") || r.contains("policy")
-    }
-}
-
 /// Any token in the call's argument region names a tmp staging path:
 /// a `tmp`-containing identifier or a `.tmp` string literal.
 fn args_mention_tmp(toks: &[Token], open: usize, limit: usize) -> bool {
@@ -753,7 +731,7 @@ fn extract(rel: &str, pf: &ParsedFile, f: &Function) -> Vec<LocalItem> {
             let name = t.text.as_str();
             // v4 protocol-state markers. Emitted *in addition* to the
             // primitive / call handling below: marker-bearing calls
-            // whose internals matter (connect, attach, *_retrying)
+            // whose internals matter (connect, attach)
             // still resolve; terminal protocol events (send_busy,
             // remove_file, drain) are handled with the primitives.
             // Same-named wrappers never observe their own marker.
@@ -773,14 +751,6 @@ fn extract(rel: &str, pf: &ParsedFile, f: &Function) -> Vec<LocalItem> {
                 }
                 if WAL_ATTACH_MARKERS.contains(&name) {
                     items.push(mark(EffectKind::WalAttach, &format!("{name}(..)")));
-                }
-                if name.ends_with("_retrying")
-                    || (dot && name == "run" && args == 1 && is_retry_receiver(toks, i))
-                {
-                    items.push(mark(EffectKind::RetryWrap, &format!("{name}(..) retry wrap")));
-                }
-                if dot && NON_IDEM_MARKERS.contains(&name) {
-                    items.push(mark(EffectKind::NonIdemOp, &format!(".{name}(..)")));
                 }
                 if matches!(name, "write_file" | "create") && args_mention_tmp(toks, i + 1, en) {
                     items.push(mark(EffectKind::TmpCreate, &format!("{name}(..) tmp staging")));

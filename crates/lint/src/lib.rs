@@ -42,10 +42,9 @@
 //!   the wire must pass a clamp before reaching an allocation
 //!   (`with_capacity`, `vec![_; n]`, `reserve`/`resize`, `read_exact`),
 //!   traced inter-procedurally with the decode-to-allocation path.
-//! - **R13 channel/WAL/retry typestate** — handshake before payload,
+//! - **R13 channel/WAL typestate** — handshake before payload,
 //!   BUSY/shed terminal, no store mutation before WAL attach on paths
-//!   where the attach is visible, retry wrappers only around
-//!   idempotent operations.
+//!   where the attach is visible.
 //! - **R14 dispatch exhaustiveness** — every `Command` dispatcher
 //!   handles all variants or answers the rest with an explicit error
 //!   arm; a silent catch-all is a finding.
@@ -207,8 +206,8 @@ pub fn rules_for_path(rel: &str) -> RuleSet {
         || rel.starts_with("crates/portal/src/"))
         && !rel.contains("/tests/");
 
-    // R13 (channel/WAL/retry typestate): the crates that drive
-    // channels, mutate stores, or wrap calls in retry policies.
+    // R13 (channel/WAL typestate): the crates that drive channels or
+    // mutate stores.
     rs.r13 = rs.r12;
 
     // R14 (dispatch exhaustiveness): everywhere a `Command` value is

@@ -46,7 +46,7 @@ const CONTAINERS: &[&str] = &["Secret", "SealedBlob", "Credential"];
 const FALLIBLE: &[&str] = &[
     "send", "recv", "handle", "serve_tls", "serve_plain", "write_all", "flush", "sync_all",
     "rename", "remove_file", "remove_dir_all", "create_dir_all", "set_permissions",
-    "save_to_dir", "load_from_dir", "destroy", "change_passphrase", "join", "store_output",
+    "destroy", "change_passphrase", "join", "store_output",
     "sync_file", "sync_dir", "append_record", "replay_journal", "save_snapshot", "load_snapshot",
 ];
 
@@ -55,7 +55,7 @@ const FALLIBLE: &[&str] = &[
 const IO_METHODS: &[&str] = &[
     "send", "recv", "write_all", "flush", "sync_all", "read_exact", "read_to_end",
     "read_to_string", "connect_local", "store_output", "fetch_output", "handle", "serve_tls",
-    "serve_plain", "save_to_dir", "load_from_dir",
+    "serve_plain", "save_snapshot", "load_snapshot",
 ];
 
 /// `fs::X(..)` / `File::X(..)` path calls that are disk I/O for R7.

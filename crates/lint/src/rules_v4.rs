@@ -20,17 +20,16 @@
 //!   function discharges the ident, which matches the `if len > MAX {
 //!   return Err }` idiom and keeps the rule quiet on audited code.
 //!   Field assignments (`self.x = len`) are documented out of scope.
-//! * **R13 — channel/WAL/retry typestate.** Per-type protocol state
+//! * **R13 — channel/WAL typestate.** Per-type protocol state
 //!   machines checked over effect streams: a channel may not carry
 //!   payload (`send`/`write`) before its handshake; the BUSY/shed
 //!   frame is terminal (no traffic after it — loop-bearing functions
 //!   are skipped, a retry loop legitimately revisits states); a store
 //!   may not be mutated before WAL durability is attached when the
 //!   attach is visible on the same path (in-memory stores opt out via
-//!   `lint:allow`); retry wrappers (`*_retrying` functions,
-//!   `policy.run(..)` closures) may only wrap idempotent operations —
-//!   a PUT or `init`/`store_long_term`/`otp_setup`/`change_passphrase`
-//!   under retry replays a mutation.
+//!   `lint:allow`). "Retry wraps only idempotent operations" used to
+//!   be a fourth, name-based clause here; rustc checks it now
+//!   (`Repositories::call` takes only `Idempotent` requests).
 //! * **R14 — dispatch exhaustiveness.** Every `match` over `Command`
 //!   variants must either name all variants or answer the rest with an
 //!   explicit error arm: a `_ =>`/binding catch-all whose body carries
@@ -52,8 +51,8 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::callgraph::{
-    close_paren, is_substrate_file, ordered_branches, CallGraph, EffectKind, CANDIDATE_CAP,
-    NON_IDEM_MARKERS, RESOLVE_BLOCKLIST, TRACE_CAP,
+    close_paren, ordered_branches, CallGraph, EffectKind, CANDIDATE_CAP,
+    RESOLVE_BLOCKLIST, TRACE_CAP,
 };
 use crate::lexer::{Token, TokenKind};
 use crate::parser::{Function, ParsedFile, StmtKind};
@@ -72,7 +71,6 @@ pub fn run_v4(inputs: &[V3Input<'_>], graph: Option<&CallGraph>) -> Vec<Diagnost
         diags.extend(r13_typestate(g, &rules_of));
         diags.extend(r15_leaks(g, &rules_of));
     }
-    diags.extend(r13_retry_closures(inputs));
     diags.extend(r14_dispatch(inputs));
 
     diags.sort_by(|a, b| {
@@ -828,99 +826,6 @@ fn r13_typestate(g: &CallGraph, rules_of: &HashMap<&str, RuleSet>) -> Vec<Diagno
                     path: path_of(e, "pre-attach mutation"),
                 });
                 break;
-            }
-        }
-
-        // (d) retry wrappers only wrap idempotent work: a `*_retrying`
-        // function whose stream mutates or performs a non-idempotent op
-        // replays that work on every retry.
-        if f.name.ends_with("_retrying") {
-            if let Some(e) = s
-                .iter()
-                .find(|e| matches!(e.kind, EffectKind::NonIdemOp | EffectKind::Mutate))
-            {
-                let line = anchor_line(e);
-                if seen.insert((f.file.clone(), line, "retry", e.file.clone(), e.line)) {
-                    out.push(Diagnostic {
-                        file: f.file.clone(),
-                        line,
-                        rule: "R13",
-                        message: format!(
-                            "retry wrapper `{}` reaches a {} at {}:{} — retries replay \
-                             non-idempotent work; only GET/INFO-style ops may be wrapped",
-                            f.name,
-                            e.kind.label(),
-                            e.file,
-                            e.line
-                        ),
-                        path: path_of(e, "non-idempotent work under retry"),
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Token-level half of the retry check: a non-idempotent operation
-/// called inside a `policy.run(|| .. )` closure literal.
-fn r13_retry_closures(inputs: &[V3Input<'_>]) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for f in inputs.iter().filter(|f| f.rules.r13) {
-        if is_substrate_file(&f.rel) {
-            continue;
-        }
-        let toks = &f.parsed.lexed.tokens;
-        let mask = &f.parsed.test_mask;
-        for i in 0..toks.len() {
-            if mask.get(i).copied().unwrap_or(false) {
-                continue;
-            }
-            let t = &toks[i];
-            if !(t.is_ident("run")
-                && i >= 2
-                && toks[i - 1].is_punct('.')
-                && toks.get(i + 1).map(|n| n.is_punct('(')).unwrap_or(false))
-            {
-                continue;
-            }
-            let recv = toks[i - 2].text.to_ascii_lowercase();
-            if !(recv.contains("retry") || recv.contains("policy")) {
-                continue;
-            }
-            let Some(close) = close_paren(toks, i + 1, toks.len()) else { continue };
-            for j in i + 2..close {
-                let tj = &toks[j];
-                if tj.kind != TokenKind::Ident {
-                    continue;
-                }
-                let name = tj.text.as_str();
-                let non_idem = NON_IDEM_MARKERS.contains(&name) || name == "put";
-                if non_idem
-                    && j > 0
-                    && toks[j - 1].is_punct('.')
-                    && toks.get(j + 1).map(|n| n.is_punct('(')).unwrap_or(false)
-                {
-                    out.push(Diagnostic {
-                        file: f.rel.clone(),
-                        line: tj.line,
-                        rule: "R13",
-                        message: format!(
-                            "non-idempotent `.{name}(..)` inside a retry-policy closure — \
-                             a timed-out-but-applied attempt is replayed on retry"
-                        ),
-                        path: vec![
-                            TaintStep {
-                                line: t.line,
-                                note: "retry-policy closure opens here".into(),
-                            },
-                            TaintStep {
-                                line: tj.line,
-                                note: format!("`.{name}(..)` replays on every attempt"),
-                            },
-                        ],
-                    });
-                }
             }
         }
     }

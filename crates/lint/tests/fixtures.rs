@@ -319,8 +319,6 @@ fn r13_fixture_flags_typestate_violations_only() {
             ("R13", 9),  // cross-function: payload via send_hello before connect
             ("R13", 20), // traffic after the BUSY/shed frame
             ("R13", 28), // store mutation before attach_durable
-            ("R13", 38), // put_retrying reaches a store mutation
-            ("R13", 46), // .put inside a retry-policy closure
         ],
         "diags: {diags:#?}"
     );

@@ -1,5 +1,5 @@
-//! R13 fixture: channel handshake-before-payload, BUSY terminality,
-//! WAL-attach-before-mutation, and idempotent-only retry wrapping.
+//! R13 fixture: channel handshake-before-payload, BUSY terminality
+//! and WAL-attach-before-mutation.
 
 fn send_hello(chan: &mut Chan, buf: &[u8]) {
     chan.write_all(buf);
@@ -32,20 +32,4 @@ fn init_store_bad(store: &mut Store, rec: &[u8], wal: &Wal) {
 fn init_store_good(store: &mut Store, rec: &[u8], wal: &Wal) {
     store.attach_durable(wal);
     store.put(rec);
-}
-
-fn put_retrying(store: &mut Store, rec: &[u8]) {
-    store.put(rec);
-}
-
-fn info_retrying(chan: &mut Chan) -> Status {
-    chan.read_status()
-}
-
-fn replay_bad(policy: &RetryPolicy, store: &mut Store, rec: &[u8]) {
-    policy.run(|| store.put(rec));
-}
-
-fn replay_good(policy: &RetryPolicy, chan: &mut Chan) {
-    policy.run(|| chan.info());
 }

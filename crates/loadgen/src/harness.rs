@@ -21,7 +21,7 @@ use mp_crypto::HmacDrbg;
 use mp_gsi::net::{NetConfig, QueuePusher, ShutdownHandle};
 use mp_gsi::transport::{BoxedTransport, Connector};
 use mp_gsi::Credential;
-use mp_myproxy::client::{GetParams, InitParams, RetryPolicy};
+use mp_myproxy::client::{GetParams, InfoParams, InitParams, Repositories, RetryPolicy};
 use mp_myproxy::wal::{CrashVfs, WalConfig};
 use mp_myproxy::{MyProxyClient, MyProxyServer, ServerPolicy};
 use mp_obs::{Histogram, HistogramSnapshot, Registry};
@@ -199,7 +199,7 @@ impl Fixture {
             let (client_end, server_end) = mp_gsi::duplex();
             let portal = portal.clone();
             std::thread::spawn(move || {
-                let _ = portal.serve_tls(server_end);
+                let _ = portal.serve_tls(server_end, None);
             });
             Ok(Box::new(client_end) as BoxedTransport)
         });
@@ -582,23 +582,15 @@ fn do_idempotent(
         max_attempts: 1 + u32::try_from(reserved).unwrap_or(u32::MAX),
         ..cfg.retry
     };
-    let (result, attempts) = policy.run_counted(|| {
-        let transport = fixture
-            .dial()
-            .map_err(|e| mp_myproxy::MyProxyError::Gsi(mp_gsi::GsiError::Io(e)))?;
-        if info {
-            fixture
-                .client
-                .info(transport, &fixture.user_cred, &uname, &pw, &mut rng, now)
-                .map(|_| ())
-        } else {
-            let params = GetParams::new(&uname, &pw);
-            fixture
-                .client
-                .get_delegation(transport, &fixture.user_cred, &params, &mut rng, now)
-                .map(|_| ())
-        }
-    });
+    let repos = Repositories::new(vec![fixture.pool_connector()], policy);
+    let (client, cred) = (&fixture.client, &fixture.user_cred);
+    let (result, attempts) = if info {
+        let (r, n) = repos.call(client, cred, &InfoParams::new(&uname, &pw), &mut rng, now);
+        (r.map(drop), n)
+    } else {
+        let (r, n) = repos.call(client, cred, &GetParams::new(&uname, &pw), &mut rng, now);
+        (r.map(drop), n)
+    };
     let spent = u64::from(attempts.saturating_sub(1));
     budget.release(reserved.saturating_sub(spent));
     let outcome = match result {

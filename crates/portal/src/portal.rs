@@ -338,10 +338,16 @@ impl GridPortal {
     }
 
     /// Serve one plain-HTTP connection (read request, write response,
-    /// close). Login over this path is refused when `require_tls` —
-    /// the rest still works, mirroring real portals that served static
-    /// pages on :80.
-    pub fn serve_plain<T: Transport>(&self, mut transport: T) -> Result<()> {
+    /// close) under `idle_deadline` — plain HTTP has no handshake
+    /// phase, so the whole exchange runs under it. Login over this path
+    /// is refused when `require_tls` — the rest still works, mirroring
+    /// real portals that served static pages on :80.
+    pub fn serve_plain<T: Transport + DeadlineControl>(
+        &self,
+        mut transport: T,
+        idle_deadline: Option<std::time::Duration>,
+    ) -> Result<()> {
+        transport.set_deadlines(idle_deadline, idle_deadline);
         let bytes = read_http_message(&mut transport)?;
         let req = HttpRequest::from_bytes(&bytes)?;
         let resp = self.handle_request(&req, false);
@@ -350,34 +356,14 @@ impl GridPortal {
         Ok(())
     }
 
-    /// Like [`serve_plain`](Self::serve_plain), but arms the transport
-    /// with the per-request idle deadline first (plain HTTP has no
-    /// handshake phase, so the whole exchange runs under it).
-    pub fn serve_plain_deadlined<T: Transport + DeadlineControl>(
-        &self,
-        transport: T,
-        idle_deadline: Option<std::time::Duration>,
-    ) -> Result<()> {
-        transport.set_deadlines(idle_deadline, idle_deadline);
-        self.serve_plain(transport)
-    }
-
     /// Serve TCP with HTTPS-sim framing on a bounded worker pool with
     /// default [`NetConfig`]. Call from an `Arc<GridPortal>`.
     pub fn serve_tcp_tls(
         self: &std::sync::Arc<Self>,
         listener: std::net::TcpListener,
     ) -> std::io::Result<ShutdownHandle> {
-        self.serve_tcp_tls_with(listener, NetConfig::default())
-    }
-
-    /// [`serve_tcp_tls`](Self::serve_tcp_tls) with explicit pool tuning.
-    pub fn serve_tcp_tls_with(
-        self: &std::sync::Arc<Self>,
-        listener: std::net::TcpListener,
-        cfg: NetConfig,
-    ) -> std::io::Result<ShutdownHandle> {
-        net::serve_scoped(TcpAcceptor::new(listener)?, self.tls_service(), cfg, &self.obs, "portal.tls")
+        let acceptor = TcpAcceptor::new(listener)?;
+        net::serve_scoped(acceptor, self.tls_service(), NetConfig::default(), &self.obs, "portal.tls")
     }
 
     /// Serve TCP with plain HTTP (static pages / health checks; logins
@@ -387,17 +373,8 @@ impl GridPortal {
         self: &std::sync::Arc<Self>,
         listener: std::net::TcpListener,
     ) -> std::io::Result<ShutdownHandle> {
-        self.serve_tcp_plain_with(listener, NetConfig::default())
-    }
-
-    /// [`serve_tcp_plain`](Self::serve_tcp_plain) with explicit pool
-    /// tuning.
-    pub fn serve_tcp_plain_with(
-        self: &std::sync::Arc<Self>,
-        listener: std::net::TcpListener,
-        cfg: NetConfig,
-    ) -> std::io::Result<ShutdownHandle> {
-        net::serve_scoped(TcpAcceptor::new(listener)?, self.plain_service(), cfg, &self.obs, "portal.plain")
+        let acceptor = TcpAcceptor::new(listener)?;
+        net::serve_scoped(acceptor, self.plain_service(), NetConfig::default(), &self.obs, "portal.plain")
     }
 
     /// This portal's HTTPS-sim side as a pool [`Service`].
@@ -410,22 +387,10 @@ impl GridPortal {
         Arc::new(PortalPlainService { portal: self.clone() })
     }
 
-    /// Serve one HTTPS-sim connection.
-    pub fn serve_tls<T: Transport>(&self, transport: T) -> Result<()> {
-        let mut rng = self.req_rng();
-        let mut stream = tls::accept(
-            transport,
-            self.config.credential.chain(),
-            self.config.credential.key(),
-            &mut rng,
-        )?;
-        self.serve_tls_stream(&mut stream)
-    }
-
-    /// Like [`serve_tls`](Self::serve_tls), but re-arms the transport
-    /// with the per-request idle deadline once the TLS handshake has
-    /// completed.
-    pub fn serve_tls_deadlined<T: Transport + DeadlineControl>(
+    /// Serve one HTTPS-sim connection. The caller arms the handshake
+    /// deadline; once the TLS handshake completes the transport is
+    /// re-armed with `idle_deadline`.
+    pub fn serve_tls<T: Transport + DeadlineControl>(
         &self,
         transport: T,
         idle_deadline: Option<std::time::Duration>,
@@ -450,20 +415,12 @@ impl GridPortal {
     }
 }
 
-/// Classify a handler result for the worker pool's accounting: deadline
-/// evictions are timeouts, everything else an error.
-fn outcome_of(result: &Result<()>) -> Outcome {
-    match result {
-        Ok(()) => Outcome::Ok,
-        Err(PortalError::Io(e))
-            if matches!(
-                e.kind(),
-                std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
-            ) =>
-        {
-            Outcome::Timeout
-        }
-        Err(_) => Outcome::Error,
+/// The transport failure underneath a handler error, if that is what
+/// it is (the pool's timeout accounting reads its kind).
+fn io_cause(e: &PortalError) -> Option<&std::io::Error> {
+    match e {
+        PortalError::Io(io) => Some(io),
+        _ => None,
     }
 }
 
@@ -475,7 +432,7 @@ pub struct PortalTlsService {
 
 impl<C: Transport + DeadlineControl + 'static> Service<C> for PortalTlsService {
     fn handle(&self, conn: C, idle_deadline: Option<std::time::Duration>) -> Outcome {
-        outcome_of(&self.portal.serve_tls_deadlined(conn, idle_deadline))
+        net::outcome_of(&self.portal.serve_tls(conn, idle_deadline), io_cause)
     }
 
     fn shed(&self, mut conn: C) {
@@ -506,7 +463,7 @@ impl PortalPlainService {
 
 impl<C: Transport + DeadlineControl + 'static> Service<C> for PortalPlainService {
     fn handle(&self, conn: C, idle_deadline: Option<std::time::Duration>) -> Outcome {
-        outcome_of(&self.portal.serve_plain_deadlined(conn, idle_deadline))
+        net::outcome_of(&self.portal.serve_plain(conn, idle_deadline), io_cause)
     }
 
     fn shed(&self, mut conn: C) {

@@ -205,7 +205,7 @@ impl GridWorld {
             let (client_end, server_end) = mp_gsi::duplex();
             let portal = portal.clone();
             std::thread::spawn(move || {
-                let _ = portal.serve_tls(server_end);
+                let _ = portal.serve_tls(server_end, None);
             });
             Ok(Box::new(client_end) as BoxedTransport)
         })
@@ -218,7 +218,7 @@ impl GridWorld {
             let (client_end, server_end) = mp_gsi::duplex();
             let portal = portal.clone();
             std::thread::spawn(move || {
-                let _ = portal.serve_plain(server_end);
+                let _ = portal.serve_plain(server_end, None);
             });
             Ok(Box::new(client_end) as BoxedTransport)
         })

@@ -23,7 +23,7 @@ use myproxy::gram::{job, storage, GramError};
 use myproxy::gsi::net::{self, accept_queue, BoxedConn, FaultyTransport, NetConfig, QueuePusher};
 use myproxy::gsi::transport::{BoxedTransport, Connector};
 use myproxy::gsi::{duplex, ChannelConfig, GsiError, MemStream};
-use myproxy::myproxy::client::{GetParams, InitParams, RetryPolicy};
+use myproxy::myproxy::client::{GetParams, InfoParams, InitParams, Repositories, RetryPolicy};
 use myproxy::myproxy::repl::{ReplConfig, Role, Shipper};
 use myproxy::myproxy::testutil::replay_divergence;
 use myproxy::myproxy::wal::{CrashVfs, WalConfig};
@@ -562,20 +562,18 @@ fn retrying_client_rides_out_shedding_while_plain_client_sees_busy() {
 
     // A client with a retry policy re-dials after the hinted delay and
     // succeeds once the eviction frees the slot. GET is idempotent, so
-    // the re-sends are safe by construction (PUT has no retrying
-    // variant at all).
+    // the re-sends are safe by construction (`Repositories::call`
+    // does not compile with a PUT-shaped request).
     let policy = RetryPolicy { max_attempts: 8, base_delay_ms: 50, max_delay_ms: 400, jitter_seed: 7 };
-    let delegated = w
-        .myproxy_client
-        .get_delegation_retrying(
-            &pool_connector(&push),
-            &w.portal_cred,
-            &GetParams::new("alice", PASS),
-            &policy,
-            &mut rng,
-            w.clock.now(),
-        )
-        .expect("retrying client must ride out the shed window");
+    let (delegated, attempts) = Repositories::new(vec![pool_connector(&push)], policy).call(
+        &w.myproxy_client,
+        &w.portal_cred,
+        &GetParams::new("alice", PASS),
+        &mut rng,
+        w.clock.now(),
+    );
+    let delegated = delegated.expect("retrying client must ride out the shed window");
+    assert!(attempts >= 2, "the first attempt was shed, so at least one retry was spent");
     assert!(delegated.subject().to_string().starts_with("/O=Grid/CN=alice/CN="));
     assert!(stats.shed() >= 1, "at least the plain client was shed");
 
@@ -791,19 +789,18 @@ fn replication_ships_acked_puts_and_standby_serves_reads() {
     // Reads are served by the standby; both sides report role + epoch
     // over INFO.
     get_named(&p, &p.standby, "cred-0", &mut rng).unwrap();
-    let (infos, st) = p
-        .w
-        .myproxy_client
-        .info_with_status(p.standby.connect_local(), &p.w.alice, "alice", PASS, &mut rng, p.w.clock.now())
-        .unwrap();
-    assert_eq!(infos.len(), 2);
-    assert_eq!((st.role.as_str(), st.epoch), ("standby", 0));
-    let (_, st) = p
-        .w
-        .myproxy_client
-        .info_with_status(p.w.myproxy.connect_local(), &p.w.alice, "alice", PASS, &mut rng, p.w.clock.now())
-        .unwrap();
-    assert_eq!((st.role.as_str(), st.epoch), ("primary", 0));
+    let once = RetryPolicy { max_attempts: 1, ..RetryPolicy::default() };
+    let mut info_from = |server: &MyProxyServer| {
+        Repositories::new(vec![GridWorld::myproxy_connector(server)], once)
+            .call(&p.w.myproxy_client, &p.w.alice, &InfoParams::new("alice", PASS), &mut rng, p.w.clock.now())
+            .0
+            .unwrap()
+    };
+    let reply = info_from(&p.standby);
+    assert_eq!(reply.creds.len(), 2);
+    assert_eq!((reply.status.role.as_str(), reply.status.epoch), ("standby", 0));
+    let reply = info_from(&p.w.myproxy);
+    assert_eq!((reply.status.role.as_str(), reply.status.epoch), ("primary", 0));
 
     // The replication gauges ride the same registry the INFO METRICS=1
     // scrape serves, so an operator sees lag without a /metrics scrape.
@@ -978,37 +975,25 @@ fn client_fails_over_across_a_repository_list() {
     // repository to the standby.
     let mut g = GetParams::new("alice", PASS);
     g.cred_name = Some("cred-0".into());
-    p.w.myproxy_client
-        .get_delegation_failover(
-            &[dead.clone(), standby_conn.clone()],
-            &p.w.portal_cred,
-            &g,
-            &quick,
-            &mut rng,
-            p.w.clock.now(),
-        )
-        .unwrap();
-    let infos = p
-        .w
-        .myproxy_client
-        .info_failover(
-            &[dead.clone(), standby_conn.clone()],
-            &p.w.alice,
-            "alice",
-            PASS,
-            &quick,
-            &mut rng,
-            p.w.clock.now(),
-        )
-        .unwrap();
-    assert_eq!(infos.len(), 1);
+    let past_dead = Repositories::new(vec![dead.clone(), standby_conn.clone()], quick);
+    let (got, attempts) = past_dead.call(&p.w.myproxy_client, &p.w.portal_cred, &g, &mut rng, p.w.clock.now());
+    got.unwrap();
+    assert_eq!(attempts, 2, "one refused dial, then the standby answered");
+    let (reply, attempts) =
+        past_dead.call(&p.w.myproxy_client, &p.w.alice, &InfoParams::new("alice", PASS), &mut rng, p.w.clock.now());
+    let reply = reply.unwrap();
+    assert_eq!(reply.creds.len(), 1);
+    assert_eq!((attempts, reply.status.role.as_str()), (2, "standby"), "the reply names who answered");
 
     // PUT fails over only on connect-refused (nothing was sent yet)...
     let mut params = InitParams::new("alice", PASS);
     params.cred_name = Some("cred-put".into());
-    p.w.myproxy_client
-        .init_failover(&[dead.clone(), primary_conn.clone()], &p.w.alice, &params, &mut rng, p.w.clock.now())
-        .unwrap();
+    let put = |repos: Repositories, params: &InitParams, rng: &mut myproxy::crypto::HmacDrbg| {
+        repos.call_once(|t| p.w.myproxy_client.init(t, &p.w.alice, params, rng, p.w.clock.now()))
+    };
+    let (stored, dials) = put(Repositories::new(vec![dead.clone(), primary_conn.clone()], quick), &params, &mut rng);
+    stored.unwrap();
+    assert_eq!(dials, 2);
     assert!(p.w.myproxy.store().all_entries().iter().any(|e| e.name == "cred-put"));
 
     // ...never once a request is in flight: the standby accepts the
@@ -1016,12 +1001,10 @@ fn client_fails_over_across_a_repository_list() {
     // is attempted against the next repository in the list.
     let mut params = InitParams::new("alice", PASS);
     params.cred_name = Some("cred-no-retry".into());
-    let err = p
-        .w
-        .myproxy_client
-        .init_failover(&[standby_conn, primary_conn], &p.w.alice, &params, &mut rng, p.w.clock.now())
-        .unwrap_err();
+    let (refused, dials) = put(Repositories::new(vec![standby_conn, primary_conn], quick), &params, &mut rng);
+    let err = refused.unwrap_err();
     assert!(matches!(err, MyProxyError::Refused(_)), "got: {err:?}");
+    assert_eq!(dials, 1, "the primary is never dialled");
     assert!(
         !p.w.myproxy.store().all_entries().iter().any(|e| e.name == "cred-no-retry"),
         "an in-flight PUT must not be replayed against the next repository"
