@@ -129,15 +129,16 @@ impl Encoder {
 
 /// DER definite-length octets.
 fn write_len(out: &mut Vec<u8>, len: usize) {
+    let bytes = len.to_be_bytes();
     if len < 0x80 {
-        // lint:allow(R4) cannot truncate: len < 0x80 on this branch (DER short form)
-        out.push(len as u8);
+        // DER short form: the length is its own low byte.
+        let [.., low] = bytes;
+        out.push(low);
     } else {
-        let bytes = len.to_be_bytes();
         let skip = bytes.iter().take_while(|&&b| b == 0).count();
         let sig = &bytes[skip..];
-        // lint:allow(R4) cannot truncate: sig is at most the 8 significant bytes of a usize, so sig.len() <= 8
-        out.push(0x80 | sig.len() as u8);
+        let count = u8::try_from(sig.len()).expect("a usize has at most 8 significant bytes");
+        out.push(0x80 | count);
         out.extend_from_slice(sig);
     }
 }
@@ -200,6 +201,17 @@ mod tests {
         let mut e = Encoder::new();
         e.octet_string(&vec![0u8; 300]);
         assert_eq!(&e.out[..4], &[0x04, 0x82, 0x01, 0x2c]);
+
+        // The short/long form boundary and a two-byte length.
+        for (len, expect) in [
+            (0x7f, &[0x7f][..]),
+            (0x80, &[0x81, 0x80][..]),
+            (0xffff, &[0x82, 0xff, 0xff][..]),
+        ] {
+            let mut out = Vec::new();
+            write_len(&mut out, len);
+            assert_eq!(out, expect, "length {len:#x}");
+        }
     }
 
     #[test]

@@ -43,12 +43,11 @@ use crate::MyProxyError;
 use mp_gsi::transport::Connector;
 use mp_gsi::{GsiError, SecureChannel};
 use mp_crypto::HmacDrbg;
-use mp_obs::{Counter, Gauge, Registry};
+use mp_obs::{Counter, Gauge, Registry, RelaxedU64};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// What this repository currently is in the replication topology.
@@ -307,8 +306,8 @@ pub struct ReplLog {
     rings: Vec<Mutex<ShardRing>>,
     /// Per-shard lag cells (Relaxed; summed into the gauges so the
     /// commit path never takes two ring locks at once).
-    lag_records: Vec<AtomicU64>,
-    lag_bytes: Vec<AtomicU64>,
+    lag_records: Vec<RelaxedU64>,
+    lag_bytes: Vec<RelaxedU64>,
     metrics: ReplMetrics,
     capacity: usize,
     /// Names this process's sequence space; a standby that last
@@ -322,8 +321,8 @@ impl ReplLog {
         let n = shards.max(1);
         ReplLog {
             rings: (0..n).map(|_| Mutex::new(ShardRing::new())).collect(),
-            lag_records: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            lag_bytes: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            lag_records: (0..n).map(|_| RelaxedU64::new(0)).collect(),
+            lag_bytes: (0..n).map(|_| RelaxedU64::new(0)).collect(),
             metrics,
             capacity: capacity.max(1),
             stream_id,
@@ -347,17 +346,17 @@ impl ReplLog {
 
     fn store_lag(&self, shard: usize, records: u64, bytes: u64) {
         if let Some(cell) = self.lag_records.get(shard) {
-            cell.store(records, Ordering::Relaxed);
+            cell.store(records);
         }
         if let Some(cell) = self.lag_bytes.get(shard) {
-            cell.store(bytes, Ordering::Relaxed);
+            cell.store(bytes);
         }
     }
 
     fn publish_gauges(&self) {
         let records: u64 =
-            self.lag_records.iter().map(|c| c.load(Ordering::Relaxed)).sum();
-        let bytes: u64 = self.lag_bytes.iter().map(|c| c.load(Ordering::Relaxed)).sum();
+            self.lag_records.iter().map(|c| c.load()).sum();
+        let bytes: u64 = self.lag_bytes.iter().map(|c| c.load()).sum();
         self.metrics.lag_records.set(records);
         self.metrics.lag_bytes.set(bytes);
     }
@@ -463,8 +462,8 @@ pub struct ReplState {
     log: Mutex<Option<Arc<ReplLog>>>,
     /// Clock-seconds of the last shipper contact (Relaxed; one writer
     /// class, monotone under the test clocks).
-    last_contact: AtomicU64,
-    takeover_timeout_secs: AtomicU64,
+    last_contact: RelaxedU64,
+    takeover_timeout_secs: RelaxedU64,
 }
 
 impl Default for ReplState {
@@ -481,8 +480,8 @@ impl ReplState {
             epoch_store: Mutex::new(None),
             applied: Mutex::new(AppliedState { stream: 0, applied: Vec::new() }),
             log: Mutex::new(None),
-            last_contact: AtomicU64::new(0),
-            takeover_timeout_secs: AtomicU64::new(0),
+            last_contact: RelaxedU64::new(0),
+            takeover_timeout_secs: RelaxedU64::new(0),
         }
     }
 
@@ -500,13 +499,13 @@ impl ReplState {
     /// Become a standby with the given auto-takeover timeout.
     pub fn set_standby(&self, takeover_timeout_secs: u64, now_secs: u64) {
         self.inner.lock().role = Role::Standby;
-        self.takeover_timeout_secs.store(takeover_timeout_secs, Ordering::Relaxed);
+        self.takeover_timeout_secs.store(takeover_timeout_secs);
         self.touch(now_secs);
     }
 
     /// Note shipper contact at `now_secs` (resets the loss detector).
     pub fn touch(&self, now_secs: u64) {
-        self.last_contact.store(now_secs, Ordering::Relaxed);
+        self.last_contact.store(now_secs);
     }
 
     /// Attach the durable epoch store and adopt its persisted epoch.
@@ -590,11 +589,11 @@ impl ReplState {
     /// past the configured timeout. Returns true when a promotion
     /// happened. Driven from the serve pool's sweep tick.
     pub fn check_auto_promote(&self, now_secs: u64) -> bool {
-        let timeout = self.takeover_timeout_secs.load(Ordering::Relaxed);
+        let timeout = self.takeover_timeout_secs.load();
         if timeout == 0 || self.inner.lock().role != Role::Standby {
             return false;
         }
-        let last = self.last_contact.load(Ordering::Relaxed);
+        let last = self.last_contact.load();
         if now_secs.saturating_sub(last) < timeout {
             return false;
         }

@@ -22,12 +22,11 @@ use mp_gsi::net::{
 };
 use mp_gsi::transport::Transport;
 use mp_gsi::{ChannelConfig, Credential, Gridmap, SecureChannel};
-use mp_obs::{Counter, Registry};
+use mp_obs::{Counter, Registry, RelaxedU64};
 use mp_x509::{Certificate, Clock};
 use parking_lot::{Mutex, RwLock};
 use rand::Rng;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -74,7 +73,7 @@ struct JmState {
     jobs: RwLock<HashMap<u64, Job>>,
     /// ID allocator — deliberately NOT an mp-obs metric: it is program
     /// state (uniqueness matters, observability does not).
-    next_id: AtomicU64,
+    next_id: RelaxedU64,
     /// This service's metrics registry (`gram.job.*`; pool counters
     /// land here via `serve_scoped`).
     obs: Arc<Registry>,
@@ -116,7 +115,7 @@ impl JobManager {
                 clock,
                 gridmap,
                 jobs: RwLock::new(HashMap::new()),
-                next_id: AtomicU64::new(1),
+                next_id: RelaxedU64::new(1),
                 handler_errors: obs.counter("gram.job.handler_errors"),
                 obs,
                 storage,
@@ -209,7 +208,7 @@ impl JobManager {
                     None
                 };
 
-                let id = st.next_id.fetch_add(1, Ordering::Relaxed);
+                let id = st.next_id.fetch_add(1);
                 let job = Job {
                     id,
                     owner_identity: peer.identity.to_string(),

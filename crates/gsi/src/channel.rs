@@ -288,11 +288,10 @@ impl<T: Transport> SecureChannel<T> {
         transcript.update(&hello);
         let body = expect_msg(&hello, MSG_CLIENT_HELLO)?;
         let mut r = WireReader::new(body);
-        let _random_c: [u8; 32] = r
+        let random_c: [u8; 32] = r
             .bytes()?
             .try_into()
             .map_err(|_| GsiError::Protocol("bad client random".into()))?;
-        let random_c = _random_c;
         r.finish()?;
 
         // -> ServerHello

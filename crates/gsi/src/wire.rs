@@ -49,10 +49,7 @@ impl WireWriter {
 
     /// Length-prefixed bytes.
     pub fn bytes(&mut self, v: &[u8]) -> &mut Self {
-        // lint:allow(R1) local invariant, not attacker input: callers only write reader-bounded or locally built fields; a cap break is a bug best caught loudly
-        assert!(v.len() <= MAX_FIELD, "wire field too large");
-        // lint:allow(R4) cannot truncate: v.len() <= MAX_FIELD (1 MiB) asserted on the line above
-        self.u32(v.len() as u32);
+        self.u32(length_prefix(v.len(), MAX_FIELD, "wire field too large"));
         self.buf.extend_from_slice(v);
         self
     }
@@ -64,14 +61,21 @@ impl WireWriter {
 
     /// A list of length-prefixed byte strings.
     pub fn byte_list(&mut self, items: &[Vec<u8>]) -> &mut Self {
-        // lint:allow(R1) mirrors the reader's MAX_LIST cap; a longer list is a local logic error
-        assert!(items.len() <= MAX_LIST, "wire list too long");
-        // lint:allow(R4) cannot truncate: items.len() <= MAX_LIST (64) asserted on the line above
-        self.u32(items.len() as u32);
+        self.u32(length_prefix(items.len(), MAX_LIST, "wire list too long"));
         for item in items {
             self.bytes(item);
         }
         self
+    }
+}
+
+/// The u32 length prefix for a field or list of `len` entries, capped
+/// at the bound the reader enforces for it (`MAX_FIELD` / `MAX_LIST`).
+fn length_prefix(len: usize, cap: usize, what: &str) -> u32 {
+    match u32::try_from(len) {
+        Ok(prefix) if len <= cap => prefix,
+        // lint:allow(R1) local invariant, not attacker input: callers only write reader-bounded or locally built fields, so a cap break is a logic error best caught loudly
+        _ => panic!("{what}"),
     }
 }
 
@@ -198,6 +202,35 @@ mod tests {
         let mut r = WireReader::new(&buf);
         r.u8().unwrap();
         assert!(r.finish().is_err());
+    }
+
+    #[test]
+    fn writer_caps_sit_exactly_at_the_reader_bounds() {
+        let field = vec![0xabu8; MAX_FIELD];
+        let mut w = WireWriter::new();
+        w.bytes(&field);
+        let buf = w.into_bytes();
+        assert_eq!(&buf[..4], &[0x00, 0x10, 0x00, 0x00]);
+        assert_eq!(WireReader::new(&buf).bytes().unwrap(), &field[..]);
+
+        let list = vec![vec![1u8]; MAX_LIST];
+        let mut w = WireWriter::new();
+        w.byte_list(&list);
+        let buf = w.into_bytes();
+        assert_eq!(&buf[..4], &[0, 0, 0, 64]);
+        assert_eq!(WireReader::new(&buf).byte_list().unwrap(), list);
+    }
+
+    #[test]
+    #[should_panic(expected = "wire field too large")]
+    fn field_one_past_the_cap_panics() {
+        WireWriter::new().bytes(&vec![0u8; MAX_FIELD + 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "wire list too long")]
+    fn list_one_past_the_cap_panics() {
+        WireWriter::new().byte_list(&vec![Vec::new(); MAX_LIST + 1]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! waiver-budget check CI uses.
 //!
 //! ```text
-//! mp-lint                        gate: exit 1 on new/stale findings
+//! mp-lint                        gate: exit 1 on any finding
 //! mp-lint --json report.json     also write the SARIF-lite report
 //! mp-lint --bench-json BENCH_lint.json
 //!                                also record gate wall-clock + counts
@@ -48,7 +48,7 @@ fn main() -> ExitCode {
             "--check-waiver-budget" => check_budget = true,
             "--help" | "-h" => {
                 println!(
-                    "mp-lint: workspace security-hygiene gate (rules R1-R15)\n\
+                    "mp-lint: workspace security-hygiene gate (rules R1-R15; R10 and R14 are retired)\n\
                      \n\
                      usage: mp-lint [--root DIR] [--json PATH] [--bench-json PATH] \
                      [--check-waiver-budget]\n\
@@ -68,11 +68,11 @@ fn main() -> ExitCode {
     }
 
     if check_budget {
-        let (total, per_file) = mp_lint::baseline::count_waivers(&root);
-        let Some(budget) = mp_lint::baseline::load_budget(&root) else {
+        let (total, per_file) = mp_lint::waivers::count_waivers(&root);
+        let Some(budget) = mp_lint::waivers::load_budget(&root) else {
             eprintln!(
                 "mp-lint: missing or unreadable {} at {}",
-                mp_lint::baseline::BUDGET_FILE,
+                mp_lint::waivers::BUDGET_FILE,
                 root.display()
             );
             return ExitCode::FAILURE;
@@ -85,7 +85,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "mp-lint: waiver count {total} does not match committed budget {budget}; \
                  update {} in the same change that adds or removes a lint:allow",
-                mp_lint::baseline::BUDGET_FILE
+                mp_lint::waivers::BUDGET_FILE
             );
             return ExitCode::FAILURE;
         }
@@ -102,8 +102,7 @@ fn main() -> ExitCode {
             ("tool", Value::Str(mp_lint::sarif::TOOL_NAME.into())),
             ("version", Value::Str(mp_lint::sarif::TOOL_VERSION.into())),
             ("lint.gate_wall_ms", Value::Num(gate_wall_ms)),
-            ("lint.findings.new", Value::Num(result.split.new.len() as f64)),
-            ("lint.findings.baselined", Value::Num(result.split.baselined.len() as f64)),
+            ("lint.findings", Value::Num(result.findings.len() as f64)),
         ]);
         if let Err(e) = std::fs::write(path, doc.pretty()) {
             eprintln!("mp-lint: cannot write {}: {e}", path.display());
@@ -121,31 +120,18 @@ fn main() -> ExitCode {
         println!("wrote SARIF-lite report: {}", path.display());
     }
 
-    for d in &result.split.baselined {
-        println!("baselined: {d}");
-    }
-    for d in &result.split.new {
+    for d in &result.findings {
         println!("{d}");
         for s in &d.path {
             println!("    taint: line {}: {}", s.line, s.note);
         }
     }
-    for s in &result.split.stale {
-        println!("stale baseline entry (fixed — delete it): {s}");
-    }
 
     if result.passed() {
-        println!(
-            "mp-lint: clean ({} baselined finding(s) tracked)",
-            result.split.baselined.len()
-        );
+        println!("mp-lint: clean");
         ExitCode::SUCCESS
     } else {
-        eprintln!(
-            "mp-lint: {} new finding(s), {} stale baseline entr(ies)",
-            result.split.new.len(),
-            result.split.stale.len()
-        );
+        eprintln!("mp-lint: {} finding(s)", result.findings.len());
         ExitCode::FAILURE
     }
 }

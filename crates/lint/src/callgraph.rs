@@ -1,20 +1,19 @@
 //! Workspace-wide call graph with bottom-up effect summaries.
 //!
-//! mp-lint v3's rule families (R8–R11, see `rules_v3`) police
-//! invariants that span function boundaries: fsync-before-ack crosses
+//! The summary rules (R8, R9, R11, R13, R15 — see [`crate::protocol`])
+//! police invariants that span function boundaries: fsync-before-ack crosses
 //! `server.rs` → `store.rs` → `wal.rs`, deadline arming happens in one
 //! function while the socket reads happen three calls deeper, and
 //! blocking calls sneak onto pool workers through helpers. This module
 //! gives those rules the structure they need without a type system:
 //!
-//! * **Local extraction** — every non-test function's statement list is
-//!   walked once, producing an ordered stream of *effects* (primitive
-//!   operations the rules care about: spawns, socket reads/writes,
-//!   WAL appends, fsyncs, renames, deadline arms, store mutations) and
-//!   *calls* (lower-case identifiers applied to an argument list).
-//!   Lock-guard liveness is tracked R7-style (named `let` guards,
-//!   statement-temporaries, `drop(..)` releases) so fsync-under-lock
-//!   can be observed across calls.
+//! * **Local streams** — each non-test function's fact stream (the one
+//!   walk in [`crate::facts`]) is flattened to an ordered stream of
+//!   *effects* (primitive operations the rules care about: spawns,
+//!   socket reads/writes, WAL appends, fsyncs, renames, deadline arms,
+//!   store mutations) and *calls* (lower-case identifiers applied to an
+//!   argument list), each call remembering whether a lock guard was
+//!   live so fsync-under-lock can be observed across calls.
 //! * **Name-based resolution** — a call resolves to every workspace
 //!   function with that name (this is also the trait-method fallback:
 //!   `conn.handle(..)` unions all `handle` impls). More than
@@ -40,13 +39,15 @@
 //! Summaries are *compressed*: per effect kind only the first and last
 //! few occurrences are kept (order preserved). That bounds summary
 //! size — and therefore fixpoint cost — while keeping every check in
-//! `rules_v3` sound for the patterns it matches (each check only asks
-//! about first/last relative positions of kinds).
+//! [`crate::protocol`] sound for the patterns it matches (each check
+//! only asks about first/last relative positions of kinds).
 
 use std::collections::HashMap;
 
-use crate::lexer::{Token, TokenKind};
-use crate::parser::{Function, ParsedFile, StmtKind};
+pub use crate::facts::EffectKind;
+use crate::facts::{self, FnFacts};
+use crate::lexer::Token;
+use crate::parser::{Function, ParsedFile};
 use crate::rules::TaintStep;
 
 /// Fixpoint pass bound; cyclic call chains stop growing here. Sized
@@ -69,96 +70,6 @@ pub const SUBSTRATE: &[&str] = &[
     "crates/core/src/wal.rs",
     "crates/core/src/persist.rs",
 ];
-
-/// The primitive operations the v3 rules reason about.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum EffectKind {
-    /// `spawn(..)` / `thread::spawn(..)` — a new thread.
-    Spawn,
-    /// `read_to_end` / `read_to_string` / `read_until` / zero-arg
-    /// `.accept()` — reads with no intrinsic bound.
-    UnboundedRead,
-    /// An fsync performed while a lock guard is live (directly, or via
-    /// a call made under the guard).
-    FsyncUnderLock,
-    /// Two-argument `.append(..)` — a WAL record append *not yet known
-    /// to be fsynced* (see [`DurableAppend`](Self::DurableAppend)).
-    WalAppend,
-    /// A WAL append already paired with a later fsync (no ack between)
-    /// in some function's stream. Fused *before* summary compression,
-    /// so R9's append→fsync→ack check cannot be broken by compression
-    /// dropping the middle fsync of a long stream.
-    DurableAppend,
-    /// `sync_file` / `sync_all` — file contents flushed to disk.
-    Fsync,
-    /// `sync_dir` — directory entry flushed to disk.
-    DirFsync,
-    /// Two-argument `rename(..)` on a persistence path.
-    Rename,
-    /// `.send(..)` / `.send_record(..)` — a response acknowledged to a
-    /// peer (also socket output for R11).
-    Ack,
-    /// A store mutation marker (`.put(..)`, `.destroy(..)`, ...).
-    Mutate,
-    /// `recv` / `read_exact` / argument-taking `.read(..)` /
-    /// multi-argument `accept(..)` (handshake) — socket input.
-    SocketRead,
-    /// `write_all` / `flush` / argument-taking `.write(..)` — socket
-    /// output.
-    SocketWrite,
-    /// `set_deadlines` / `set_read_timeout` / `set_write_timeout` —
-    /// socket deadlines armed or re-armed.
-    DeadlineArm,
-    /// Multi-argument `connect(..)`/`accept(..)` — a channel handshake
-    /// establishing the session (v4 typestate: nothing may be sent on
-    /// the channel before this).
-    Handshake,
-    /// `send_busy(..)` — the BUSY/shed frame. Terminal for the
-    /// connection: no further traffic may follow it.
-    BusyShed,
-    /// `attach_durable`/`attach_wal`/`enable_durability[_with]` — the
-    /// store gains its WAL-backed durability. Mutations before this
-    /// point are not journaled.
-    WalAttach,
-    /// A `.tmp` staging file is created (`write_file`/`create` with a
-    /// tmp-marked argument). Must be paired with a later rename or
-    /// removal somewhere, else early returns leak it.
-    TmpCreate,
-    /// `remove_file(..)` — a file unlinked (pairs with TmpCreate).
-    FileRemove,
-    /// Named two-argument `.spawn(name, f)` — a handler registered in
-    /// a handler set (must be drained somewhere in the owning crate).
-    Register,
-    /// Zero-argument `.drain()` — a handler set drained/joined.
-    Drain,
-}
-
-impl EffectKind {
-    pub fn label(self) -> &'static str {
-        match self {
-            EffectKind::Spawn => "thread spawn",
-            EffectKind::UnboundedRead => "unbounded read/accept",
-            EffectKind::FsyncUnderLock => "fsync under a held lock",
-            EffectKind::WalAppend => "WAL append",
-            EffectKind::DurableAppend => "fsynced WAL append",
-            EffectKind::Fsync => "fsync",
-            EffectKind::DirFsync => "directory fsync",
-            EffectKind::Rename => "rename",
-            EffectKind::Ack => "response ack",
-            EffectKind::Mutate => "store mutation",
-            EffectKind::SocketRead => "socket read",
-            EffectKind::SocketWrite => "socket write",
-            EffectKind::DeadlineArm => "deadline arm",
-            EffectKind::Handshake => "channel handshake",
-            EffectKind::BusyShed => "BUSY/shed frame",
-            EffectKind::WalAttach => "WAL durability attach",
-            EffectKind::TmpCreate => "tmp-file create",
-            EffectKind::FileRemove => "file removal",
-            EffectKind::Register => "handler registration",
-            EffectKind::Drain => "handler-set drain",
-        }
-    }
-}
 
 /// One observable operation in a function's (expanded) effect stream.
 #[derive(Debug, Clone)]
@@ -194,20 +105,6 @@ pub fn ordered_branches(a: &[u32], b: &[u32]) -> bool {
     common == a.len() || common == b.len()
 }
 
-/// What local extraction records per function, in source token order.
-#[derive(Debug, Clone)]
-enum LocalItem {
-    Effect(Effect),
-    Call {
-        name: String,
-        line: u32,
-        under_guard: bool,
-        args: usize,
-        dot: bool,
-        branch: Vec<u32>,
-    },
-}
-
 /// One function node.
 #[derive(Debug)]
 pub struct CgFn {
@@ -220,10 +117,10 @@ pub struct CgFn {
     /// Parameter count (`self` excluded) — calls resolve only to
     /// arity-compatible candidates.
     pub params: usize,
-    /// True if the body contains a loop (v4 skips linear-order checks
+    /// True if the body contains a loop (R13 skips linear-order checks
     /// over flattened loop bodies; see `parser::Function::has_loop`).
     pub has_loop: bool,
-    items: Vec<LocalItem>,
+    items: Vec<LocalEvent>,
 }
 
 impl CgFn {
@@ -232,7 +129,7 @@ impl CgFn {
     /// with no deadline armed.
     pub fn has_local_spawn(&self) -> bool {
         self.items.iter().any(|it| {
-            matches!(it, LocalItem::Effect(e) if e.kind == EffectKind::Spawn)
+            matches!(it, LocalEvent::Effect(e) if e.kind == EffectKind::Spawn)
         })
     }
 
@@ -293,24 +190,35 @@ pub struct CallGraph {
 }
 
 impl CallGraph {
-    /// Build the graph and run summaries to fixpoint. `files` holds
-    /// workspace-relative paths and their parses; test functions are
-    /// excluded at extraction time.
+    /// Walk every file's functions and build the graph over them —
+    /// the standalone entry point; the gate hands its already-walked
+    /// facts to [`CallGraph::from_facts`] instead.
     pub fn build(files: &[(String, &ParsedFile)]) -> CallGraph {
+        let walked: Vec<Vec<Option<FnFacts>>> =
+            files.iter().map(|(_, pf)| facts::walk_file(pf)).collect();
+        CallGraph::from_facts(
+            files.iter().zip(&walked).map(|((rel, pf), w)| (rel.as_str(), *pf, w.as_slice())),
+        )
+    }
+
+    /// Build the graph from per-function fact streams (`facts` is
+    /// parallel to `pf.functions`, `None` for test functions) and run
+    /// summaries to fixpoint.
+    pub fn from_facts<'a>(
+        files: impl Iterator<Item = (&'a str, &'a ParsedFile, &'a [Option<FnFacts>])>,
+    ) -> CallGraph {
         let mut fns = Vec::new();
-        for (rel, pf) in files {
-            for f in &pf.functions {
-                if f.is_test {
-                    continue;
-                }
+        for (rel, pf, walked) in files {
+            for (f, facts) in pf.functions.iter().zip(walked) {
+                let Some(facts) = facts else { continue };
                 fns.push(CgFn {
-                    file: rel.clone(),
+                    file: rel.to_string(),
                     name: f.name.clone(),
                     line: f.line,
                     impl_trait: f.impl_trait.clone(),
                     params: f.params.len(),
                     has_loop: f.has_loop,
-                    items: extract(rel, pf, f),
+                    items: local_items(rel, &pf.lexed.tokens, f, facts),
                 });
             }
         }
@@ -380,7 +288,7 @@ fn fuse_durable(mut events: Vec<Effect>) -> Vec<Effect> {
 }
 
 /// Keep the first [`KEEP`] and last [`KEEP`] occurrences of each kind,
-/// preserving order. Bounds summary size; the v3 checks only compare
+/// preserving order. Bounds summary size; the summary rules only compare
 /// relative positions near the first/last occurrence of each kind.
 fn compress(events: Vec<Effect>) -> Vec<Effect> {
     if events.len() <= 2 * KEEP {
@@ -412,8 +320,8 @@ fn expand_one(
     let mut out = Vec::new();
     for item in &me.items {
         match item {
-            LocalItem::Effect(e) => out.push(e.clone()),
-            LocalItem::Call { name, line, under_guard, args, dot, branch } => {
+            LocalEvent::Effect(e) => out.push(e.clone()),
+            LocalEvent::Call { name, line, under_guard, args, dot, branch } => {
                 let Some(cands) = by_name.get(name) else { continue };
                 if cands.len() > CANDIDATE_CAP {
                     // Conservative fallback: too ambiguous to resolve.
@@ -489,348 +397,59 @@ fn expand_one(
     out
 }
 
-const MUTATE_MARKERS: &[&str] = &[
-    "put",
-    "set_owner",
-    "make_renewable",
-    "destroy",
-    "change_passphrase",
-    "purge_expired",
-    "apply",
-];
-
-const KEYWORDS: &[&str] = &[
-    "if", "while", "match", "for", "return", "fn", "let", "loop", "move", "in",
-    "as", "ref", "mut", "use", "pub", "impl", "where", "else", "break",
-    "continue", "self", "super", "crate", "dyn", "unsafe", "await", "drop",
-];
-
-/// Names that are overwhelmingly std-library methods at their call
-/// sites (`map.get(..)`, `iter.all(..)`, `s.parse()`, ...). Workspace
-/// functions that happen to share these names are never resolved
-/// through them — treating such calls as unresolved loses a little
-/// reach but prevents absurd cross-crate unions (a `HashMap::get`
-/// splicing in some unrelated `fn get`). Part of the documented
-/// conservative fallback.
-pub(crate) const RESOLVE_BLOCKLIST: &[&str] = &[
-    "get", "get_mut", "insert", "remove", "take", "contains", "contains_key",
-    "all", "any", "find", "filter", "map", "parse", "push", "pop", "iter",
-    "next", "len", "is_empty", "clone", "clear", "entry", "extend", "retain",
-    "join", "split", "trim", "count", "min", "max", "first", "last", "new",
-    "default", "from", "into", "with_capacity", "to_vec", "as_bytes",
-    "starts_with", "ends_with", "replace", "chars", "lines", "bytes", "text",
-    "open", "u8", "u16", "u32", "u64", "position", "resize", "truncate",
-    "unwrap_or", "unwrap_or_else", "unwrap_or_default", "ok_or", "and_then",
-];
-
-/// Classify a called name as a terminal primitive. `dot` = preceded by
-/// `.` (a method call); `args` = top-level argument count; `in_fn` =
-/// the containing function's name (a `Vfs` impl named `rename` calling
-/// `fs::rename` is the primitive's *implementation*, not a use site,
-/// so same-named wrappers never observe their own primitive).
-fn primitive_kind(name: &str, dot: bool, args: usize, in_fn: &str) -> Option<EffectKind> {
-    if name == in_fn {
-        return None;
-    }
-    let kind = match name {
-        "spawn" => EffectKind::Spawn,
-        "read_to_end" | "read_to_string" | "read_until" if dot => EffectKind::UnboundedRead,
-        "accept" if args == 0 => EffectKind::UnboundedRead,
-        "accept" => EffectKind::SocketRead,
-        "recv" | "read_exact" if dot => EffectKind::SocketRead,
-        "read" if dot && args >= 1 => EffectKind::SocketRead,
-        "write_all" | "flush" if dot => EffectKind::SocketWrite,
-        "write" if dot && args >= 1 => EffectKind::SocketWrite,
-        "send" | "send_record" if dot && args >= 1 => EffectKind::Ack,
-        "append" if dot && args == 2 => EffectKind::WalAppend,
-        "sync_file" | "sync_all" => EffectKind::Fsync,
-        "sync_dir" => EffectKind::DirFsync,
-        "rename" if args == 2 => EffectKind::Rename,
-        "set_deadlines" | "set_read_timeout" | "set_write_timeout" => EffectKind::DeadlineArm,
-        _ => return None,
-    };
-    Some(kind)
-}
-
-/// Names whose call marks the store as WAL-attached (v4 R13: store
-/// mutations must happen after one of these, or carry an explicit
-/// opt-out waiver).
-const WAL_ATTACH_MARKERS: &[&str] =
-    &["attach_durable", "attach_wal", "enable_durability", "enable_durability_with"];
-
-/// Any token in the call's argument region names a tmp staging path:
-/// a `tmp`-containing identifier or a `.tmp` string literal.
-fn args_mention_tmp(toks: &[Token], open: usize, limit: usize) -> bool {
-    let Some(close) = close_paren(toks, open, limit) else { return false };
-    toks[open + 1..close].iter().any(|t| match t.kind {
-        TokenKind::Ident => t.text.to_ascii_lowercase().contains("tmp"),
-        TokenKind::Str => t.text.contains(".tmp"),
-        _ => false,
-    })
-}
-
-/// `.lock()` / `.read()` / `.write()` with *no* arguments — a lock
-/// guard acquisition (argument-taking `.read(buf)` is socket I/O).
-fn is_guard_acquisition(toks: &[Token], i: usize) -> bool {
-    let t = &toks[i];
-    t.kind == TokenKind::Ident
-        && matches!(t.text.as_str(), "lock" | "read" | "write")
-        && i > 0
-        && toks[i - 1].is_punct('.')
-        && toks.get(i + 1).map(|n| n.is_punct('(')).unwrap_or(false)
-        && toks.get(i + 2).map(|n| n.is_punct(')')).unwrap_or(false)
-}
-
-/// Find the `)` matching the `(` at `open`.
-pub(crate) fn close_paren(toks: &[Token], open: usize, limit: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    let mut j = open;
-    while j < limit.min(toks.len()) {
-        if toks[j].is_punct('(') {
-            depth += 1;
-        } else if toks[j].is_punct(')') {
-            depth -= 1;
-            if depth == 0 {
-                return Some(j);
-            }
-        }
-        j += 1;
-    }
-    None
-}
-
-/// Top-level argument count of the call whose `(` is at `open`.
-pub(crate) fn count_args(toks: &[Token], open: usize, limit: usize) -> usize {
-    let Some(close) = close_paren(toks, open, limit) else { return 0 };
-    if close == open + 1 {
-        return 0;
-    }
-    let mut depth = 0i32;
-    let mut args = 1usize;
-    for t in &toks[open + 1..close] {
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-            depth -= 1;
-        } else if t.is_punct(',') && depth == 0 {
-            args += 1;
-        }
-    }
-    args
-}
-
-/// Does the guard acquired at `acq` (its `(` at `acq + 1`) survive into
-/// the `let` binding? `.lock().unwrap()` / `.expect(..)` still bind the
-/// guard; any other projection (`.read().clone()`) binds derived data
-/// and the guard dies with the statement.
-fn acquisition_survives(toks: &[Token], acq: usize, limit: usize) -> bool {
-    let mut j = match close_paren(toks, acq + 1, limit) {
-        Some(c) => c,
-        None => return false,
-    };
-    loop {
-        if !toks.get(j + 1).map(|t| t.is_punct('.')).unwrap_or(false) {
-            return true;
-        }
-        let Some(m) = toks.get(j + 2) else { return true };
-        if m.is_ident("unwrap") || m.is_ident("expect") {
-            match close_paren(toks, j + 3, limit) {
-                Some(c) => j = c,
-                None => return false,
-            }
-        } else {
-            return false;
-        }
-    }
-}
-
-/// One locally-extracted event, as exposed to tests and corpus
-/// tooling: either a primitive/marker effect or a call that the graph
-/// would try to resolve by name.
+/// One item of a function's local stream, in source token order:
+/// either a primitive/marker effect or a call that the graph will try
+/// to resolve by name.
 #[derive(Debug, Clone)]
 pub enum LocalEvent {
     Effect(Effect),
-    Call { name: String, line: u32, args: usize, dot: bool },
+    Call {
+        name: String,
+        line: u32,
+        /// A lock guard is live at the call site.
+        under_guard: bool,
+        args: usize,
+        dot: bool,
+        branch: Vec<u32>,
+    },
 }
 
-/// Extract one function's local event stream without building a graph.
-/// This is the v4 typestate extractor's public surface: the proptest
-/// corpus drives it over generated method-chain and closure-body
-/// statements, asserting transition order against the parser's spans.
+/// One function's local event stream without building a graph. This
+/// is the fact walk's public surface for the typestate property tests:
+/// the proptest corpus drives it over generated method-chain and
+/// closure-body statements, asserting transition order against the
+/// parser's spans.
 pub fn local_events(rel: &str, pf: &ParsedFile, f: &Function) -> Vec<LocalEvent> {
-    extract(rel, pf, f)
-        .into_iter()
-        .map(|it| match it {
-            LocalItem::Effect(e) => LocalEvent::Effect(e),
-            LocalItem::Call { name, line, args, dot, .. } => {
-                LocalEvent::Call { name, line, args, dot }
-            }
-        })
-        .collect()
+    let toks = &pf.lexed.tokens;
+    local_items(rel, toks, f, &facts::walk(toks, f))
 }
 
-/// Walk one function's statements, producing its ordered local stream.
-fn extract(rel: &str, pf: &ParsedFile, f: &Function) -> Vec<LocalItem> {
-    let toks = &pf.lexed.tokens;
+/// Flatten one function's facts to its local stream: each call's
+/// effects, then the call itself when it may resolve by name.
+fn local_items(rel: &str, toks: &[Token], f: &Function, facts: &FnFacts) -> Vec<LocalEvent> {
     let mut items = Vec::new();
-    let mut depth = 0usize;
-    // Enclosing-block path: every block gets a function-unique id, so
-    // sibling blocks (match arms, if/else) yield diverging paths that
-    // `ordered_branches` recognizes as mutually exclusive.
-    let mut branch_ctr = 0u32;
-    let mut branch: Vec<u32> = Vec::new();
-    // (binding name, block depth at declaration)
-    let mut guards: Vec<(Option<String>, usize)> = Vec::new();
-    for s in &f.stmts {
-        match s.kind {
-            StmtKind::BlockOpen => {
-                depth += 1;
-                branch_ctr += 1;
-                branch.push(branch_ctr);
-                continue;
-            }
-            StmtKind::BlockClose => {
-                depth = depth.saturating_sub(1);
-                branch.pop();
-                guards.retain(|(_, d)| *d <= depth);
-                continue;
-            }
-            _ => {}
-        }
-        let (st, en) = s.toks;
-        // Explicit releases: drop(guard).
-        for i in st..en {
-            if toks[i].is_ident("drop")
-                && toks.get(i + 1).map(|t| t.is_punct('(')).unwrap_or(false)
-                && toks.get(i + 2).map(|t| t.kind == TokenKind::Ident).unwrap_or(false)
-            {
-                let victim = toks[i + 2].text.clone();
-                guards.retain(|(n, _)| n.as_deref() != Some(victim.as_str()));
-            }
-        }
-        // Statement-temporary guard: tokens after an acquisition in the
-        // same statement run under it even without a binding.
-        let acq = (st..en).find(|&i| is_guard_acquisition(toks, i));
-        for i in st..en {
-            let t = &toks[i];
-            if t.kind != TokenKind::Ident {
-                continue;
-            }
-            if !toks.get(i + 1).map(|n| n.is_punct('(')).unwrap_or(false) {
-                continue;
-            }
-            if i > 0 && toks[i - 1].is_ident("fn") {
-                continue; // nested item definition, not a call
-            }
-            if is_guard_acquisition(toks, i) {
-                continue;
-            }
-            let under = !guards.is_empty() || acq.map(|a| i > a).unwrap_or(false);
-            let dot = i > 0 && toks[i - 1].is_punct('.');
-            let args = count_args(toks, i + 1, en);
-            let name = t.text.as_str();
-            // v4 protocol-state markers. Emitted *in addition* to the
-            // primitive / call handling below: marker-bearing calls
-            // whose internals matter (connect, attach)
-            // still resolve; terminal protocol events (send_busy,
-            // remove_file, drain) are handled with the primitives.
-            // Same-named wrappers never observe their own marker.
-            if name != f.name {
-                let mark = |kind: EffectKind, what: &str| {
-                    LocalItem::Effect(Effect {
-                        kind,
-                        file: rel.to_string(),
-                        line: t.line,
-                        note: format!("`{what}` in `{}`", f.name),
-                        trace: Vec::new(),
-                        branch: branch.clone(),
-                    })
-                };
-                if !dot && args >= 2 && (name == "connect" || name == "accept") {
-                    items.push(mark(EffectKind::Handshake, &format!("{name}(..) handshake")));
-                }
-                if WAL_ATTACH_MARKERS.contains(&name) {
-                    items.push(mark(EffectKind::WalAttach, &format!("{name}(..)")));
-                }
-                if matches!(name, "write_file" | "create") && args_mention_tmp(toks, i + 1, en) {
-                    items.push(mark(EffectKind::TmpCreate, &format!("{name}(..) tmp staging")));
-                }
-                if dot && name == "spawn" && args == 2 {
-                    items.push(mark(EffectKind::Register, ".spawn(name, ..) registration"));
-                }
-                if name == "send_busy" && args >= 1 {
-                    items.push(mark(EffectKind::BusyShed, "send_busy(..)"));
-                    continue; // terminal: the shed frame ends the connection
-                }
-                if name == "remove_file" {
-                    items.push(mark(EffectKind::FileRemove, "remove_file(..)"));
-                    continue; // terminal: the unlink is the whole story
-                }
-                if dot && name == "drain" && args == 0 {
-                    items.push(mark(EffectKind::Drain, ".drain() handler-set drain"));
-                    continue; // terminal (range-taking Vec::drain has args >= 1)
-                }
-            }
-            if let Some(kind) = primitive_kind(name, dot, args, &f.name) {
-                items.push(LocalItem::Effect(Effect {
-                    kind,
+    for s in &facts.stmts {
+        for call in s.calls() {
+            let t = &toks[call.tok];
+            for (kind, what) in &call.class.effects {
+                items.push(LocalEvent::Effect(Effect {
+                    kind: *kind,
                     file: rel.to_string(),
                     line: t.line,
-                    note: format!(
-                        "`{}{}(..)` in `{}`",
-                        if dot { "." } else { "" },
-                        name,
-                        f.name
-                    ),
+                    note: format!("{what} in `{}`", f.name),
                     trace: Vec::new(),
-                    branch: branch.clone(),
+                    branch: s.branch.clone(),
                 }));
-                if matches!(kind, EffectKind::Fsync) && under {
-                    items.push(LocalItem::Effect(Effect {
-                        kind: EffectKind::FsyncUnderLock,
-                        file: rel.to_string(),
-                        line: t.line,
-                        note: format!("`{}(..)` while a lock guard is live in `{}`", name, f.name),
-                        trace: Vec::new(),
-                        branch: branch.clone(),
-                    }));
-                }
-                continue; // terminal: primitives are never resolved
             }
-            if MUTATE_MARKERS.contains(&name) && dot && name != f.name {
-                items.push(LocalItem::Effect(Effect {
-                    kind: EffectKind::Mutate,
-                    file: rel.to_string(),
+            if call.resolves {
+                items.push(LocalEvent::Call {
+                    name: t.text.clone(),
                     line: t.line,
-                    note: format!("`.{}(..)` store mutation in `{}`", name, f.name),
-                    trace: Vec::new(),
-                    branch: branch.clone(),
-                }));
-                // fall through: the marker also resolves, so the
-                // callee's WAL/fsync stream splices in behind it.
-            }
-            let first = name.chars().next().unwrap_or('_');
-            if first.is_ascii_lowercase()
-                && !KEYWORDS.contains(&name)
-                && !RESOLVE_BLOCKLIST.contains(&name)
-            {
-                items.push(LocalItem::Call {
-                    name: name.to_string(),
-                    line: t.line,
-                    under_guard: under,
-                    args,
-                    dot,
-                    branch: branch.clone(),
+                    under_guard: !call.held.is_empty(),
+                    args: call.args.len(),
+                    dot: call.dot,
+                    branch: s.branch.clone(),
                 });
-            }
-        }
-        // A `let` that binds a surviving acquisition opens a named
-        // guard for the rest of the enclosing block.
-        if s.kind == StmtKind::Let {
-            if let Some(a) = acq {
-                if acquisition_survives(toks, a, en) {
-                    guards.push((s.pats.first().cloned(), depth));
-                }
             }
         }
     }

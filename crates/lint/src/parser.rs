@@ -1,12 +1,12 @@
 //! A lightweight item/function-level Rust parser on top of the lexer.
 //!
-//! mp-lint v2's dataflow rules need more structure than a flat token
-//! stream: *which function am I in*, *what are its parameters and
-//! return type*, *where does one statement end and the next begin*.
-//! This module recovers exactly that — and nothing more. It does not
-//! build expression trees or resolve types; statements are token
-//! ranges with byte/line spans, which is enough for intra-procedural
-//! def-use chains and taint propagation (see `rules_v2`).
+//! The rules need more structure than a flat token stream: *which
+//! tokens are test code*, *which function am I in*, *what are its
+//! parameters and return type*, *where does one statement end and the
+//! next begin*. This module recovers exactly that — and nothing more.
+//! It does not build expression trees or resolve types; statements are
+//! token ranges with byte/line spans, which is what the per-function
+//! fact walk ([`crate::facts`]) consumes.
 //!
 //! Robustness contract (enforced by `tests/parser_corpus.rs`): every
 //! `.rs` file in the workspace parses without error, and every span
@@ -92,7 +92,7 @@ pub struct Function {
     /// True if the function sits in `#[test]`/`#[cfg(test)]` code.
     pub is_test: bool,
     /// True if the body contains a `loop`/`while`/`for` at any depth.
-    /// The typestate rules (v4) use this to skip linear-order checks
+    /// The typestate rule (R13) uses this to skip linear-order checks
     /// that a flattened loop body would violate spuriously (a retry
     /// loop legitimately revisits "terminal" protocol states).
     pub has_loop: bool,
@@ -109,15 +109,91 @@ pub struct ParsedFile {
     pub lexed: Lexed,
     pub test_mask: Vec<bool>,
     pub functions: Vec<Function>,
+    /// Set when a function body's braces never balance: `functions` is
+    /// empty then, but the tokens and mask still serve the token rules.
+    pub error: Option<ParseError>,
 }
 
-/// Parse a source file. Never panics; returns `Err` only for functions
-/// whose brace structure does not balance before EOF.
-pub fn parse_source(src: &str) -> Result<ParsedFile, ParseError> {
+/// Lex and parse a source file, once. Never panics and never fails: a
+/// structural error is carried in [`ParsedFile::error`].
+pub fn parse(src: &str) -> ParsedFile {
     let lexed = lex(src);
-    let test_mask = crate::rules::test_mask(&lexed.tokens);
-    let functions = parse_functions(&lexed.tokens, &test_mask)?;
-    Ok(ParsedFile { lexed, test_mask, functions })
+    let test_mask = test_mask(&lexed.tokens);
+    let (functions, error) = match parse_functions(&lexed.tokens, &test_mask) {
+        Ok(functions) => (functions, None),
+        Err(e) => (Vec::new(), Some(e)),
+    };
+    ParsedFile { lexed, test_mask, functions, error }
+}
+
+/// [`parse`], with the structural error (a function whose brace
+/// structure does not balance before EOF) surfaced as `Err`.
+pub fn parse_source(src: &str) -> Result<ParsedFile, ParseError> {
+    let mut parsed = parse(src);
+    match parsed.error.take() {
+        Some(e) => Err(e),
+        None => Ok(parsed),
+    }
+}
+
+/// Mark which tokens are inside test code: a `#[test]`-like attribute
+/// (any attribute containing the ident `test`, covering `#[test]` and
+/// `#[cfg(test)]`) followed by a `fn` or `mod` puts the entire
+/// following brace block in the test region.
+fn test_mask(tokens: &[Token]) -> Vec<bool> {
+    let mut mask = vec![false; tokens.len()];
+    let mut i = 0usize;
+    while i < tokens.len() {
+        if tokens[i].is_punct('#') && i + 1 < tokens.len() && tokens[i + 1].is_punct('[') {
+            // Scan the attribute to its closing ']'.
+            let mut depth = 0i32;
+            let mut j = i + 1;
+            let mut saw_test = false;
+            while j < tokens.len() {
+                if tokens[j].is_punct('[') {
+                    depth += 1;
+                } else if tokens[j].is_punct(']') {
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
+                    }
+                } else if tokens[j].is_ident("test") {
+                    saw_test = true;
+                }
+                j += 1;
+            }
+            if saw_test {
+                // Find the following `{` (the fn/mod body) and mark
+                // through its matching `}`. Intervening attributes and
+                // signatures are marked too.
+                let mut k = j + 1;
+                let mut brace_depth = 0i32;
+                let mut started = false;
+                while k < tokens.len() {
+                    mask[k] = true;
+                    if tokens[k].is_punct('{') {
+                        brace_depth += 1;
+                        started = true;
+                    } else if tokens[k].is_punct('}') {
+                        brace_depth -= 1;
+                        if started && brace_depth == 0 {
+                            break;
+                        }
+                    } else if !started && tokens[k].is_punct(';') {
+                        // `#[cfg(test)] mod tests;` — file-scoped; stop.
+                        break;
+                    }
+                    k += 1;
+                }
+                i = j + 1;
+                continue;
+            }
+            i = j + 1;
+            continue;
+        }
+        i += 1;
+    }
+    mask
 }
 
 fn parse_functions(tokens: &[Token], mask: &[bool]) -> Result<Vec<Function>, ParseError> {

@@ -1,4 +1,8 @@
-//! The lint rules, keyed to the paper's §5 security analysis.
+//! The rule table: every rule the analyzer knows, keyed to the paper's
+//! §5 security analysis, with the path prefixes it applies to and the
+//! function that runs it. Scope selection ([`rules_for_path`]), the
+//! dispatcher ([`crate::check_files`]), the SARIF summary keys and the
+//! fixture harness's coverage check are all derived from [`RULES`].
 //!
 //! | rule | property | §5 claim it protects |
 //! |------|----------|----------------------|
@@ -6,15 +10,32 @@
 //! | R2   | secrets never flow into logging/Debug     | no pass-phrase / private-key disclosure via logs |
 //! | R3   | constant-time comparison of digests/MACs  | no pass-phrase verification oracle |
 //! | R4   | no truncating casts in length arithmetic  | wire parsing cannot be length-confused |
+//! | R5   | secret taint: exposed secrets never reach logs/wire/Debug/returns | non-disclosure survives renaming — flow, not names |
+//! | R6   | fallible protocol/store ops are never silently discarded | a dropped send error is an invisible outage |
+//! | R7   | lock discipline: no guard held across I/O, no order cycles | one slow peer must not stall the repository |
+//! | R8   | nothing blocking reachable from a pool worker | bounded serving substrate stays bounded |
+//! | R9   | WAL-append → fsync → ack; rename → dir fsync | an acknowledged deposit survives a crash |
+//! | R11  | socket I/O is dominated by a deadline arm | a stalled peer cannot park a thread forever |
+//! | R12  | wire-decoded lengths are clamped before allocating | fail-closed wire handling |
+//! | R13  | handshake before payload, BUSY terminal, WAL attach before mutation | protocol states are never skipped |
+//! | R15  | tmp files, handler registrations and deadlines are released | no slow resource leak under hostile traffic |
 //!
-//! Every rule works on the [`crate::lexer`] token stream plus light
-//! structural passes; see `docs/STATIC_ANALYSIS.md` for the mapping
-//! rationale and the `lint:allow` escape hatch.
+//! R10 (Relaxed-only stats atomics) and R14 (dispatch exhaustiveness)
+//! are retired: the compiler owns both checks now (`mp_obs::RelaxedU64`
+//! takes no ordering; the `Command` matches have no wildcard arm). See
+//! `docs/STATIC_ANALYSIS.md`.
 
-use crate::lexer::{lex, Comment, Token, TokenKind};
+use std::cell::OnceCell;
 
-/// One hop in a taint path: how a secret value traveled from its
-/// origin to a sink (R5 attaches these; other rules leave it empty).
+use crate::callgraph::CallGraph;
+use crate::facts::{self, FnFacts};
+use crate::lexer::Token;
+use crate::parser::{self, Function, ParsedFile};
+use crate::waivers::{parse_allows, Allow};
+use crate::{availability, locks, protocol, secrets, wire};
+
+/// One hop in a taint or call path: how a value (or an effect)
+/// traveled from its origin to the finding's sink.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaintStep {
     /// 1-based line of the hop.
@@ -31,7 +52,8 @@ pub struct Diagnostic {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Rule id: "R1".."R15" or "allow" for malformed annotations.
+    /// Rule id from [`RULES`], "allow" for malformed annotations, or
+    /// "parse" for a file the parser could not structure.
     pub rule: &'static str,
     /// Human-readable description.
     pub message: String,
@@ -43,792 +65,222 @@ impl Diagnostic {
     pub fn new(file: &str, line: u32, rule: &'static str, message: String) -> Self {
         Diagnostic { file: file.into(), line, rule, message, path: Vec::new() }
     }
+
+    pub fn with_path(mut self, path: Vec<TaintStep>) -> Self {
+        self.path = path;
+        self
+    }
 }
 
 impl std::fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}:{}: [{}] {}",
-            self.file, self.line, self.rule, self.message
-        )
+        write!(f, "{}:{}: [{}] {}", self.file, self.line, self.rule, self.message)
     }
 }
 
-/// Which rules apply to a file, decided from its workspace-relative
-/// path by [`crate::rules_for_path`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RuleSet {
-    pub r1: bool,
-    pub r2: bool,
-    pub r3: bool,
-    pub r4: bool,
-    /// v2 dataflow rules (see `rules_v2`).
-    pub r5: bool,
-    pub r6: bool,
-    pub r7: bool,
-    /// v3 inter-procedural rules (see `rules_v3`): these run in the
-    /// cross-file pass (`check_files`), never per-file.
-    pub r8: bool,
-    pub r9: bool,
-    pub r10: bool,
-    pub r11: bool,
-    /// v4 typestate/protocol rules (see `rules_v4`): like v3 these run
-    /// in the cross-file pass only.
-    pub r12: bool,
-    pub r13: bool,
-    pub r14: bool,
-    pub r15: bool,
+/// One file on its way through the pipeline: lexed and parsed once,
+/// its functions walked once (on first use), its waivers parsed once.
+pub struct SourceFile {
+    /// Workspace-relative path, `/`-separated.
+    pub rel: String,
+    pub parsed: ParsedFile,
+    /// The rules that apply to this file.
+    pub rules: RuleSet,
+    facts: OnceCell<Vec<Option<FnFacts>>>,
+    pub(crate) allows: Vec<Allow>,
 }
 
+impl SourceFile {
+    pub fn new(rel: &str, src: &str, rules: RuleSet) -> Self {
+        let parsed = parser::parse(src);
+        let allows = parse_allows(&parsed.lexed.comments);
+        SourceFile { rel: rel.into(), parsed, rules, facts: OnceCell::new(), allows }
+    }
+
+    pub fn toks(&self) -> &[Token] {
+        &self.parsed.lexed.tokens
+    }
+
+    /// Fact streams parallel to `parsed.functions` (`None` for test
+    /// functions).
+    pub fn facts(&self) -> &[Option<FnFacts>] {
+        self.facts.get_or_init(|| facts::walk_file(&self.parsed))
+    }
+
+    /// Every non-test function with its fact stream.
+    pub fn fns(&self) -> impl Iterator<Item = (&Function, &FnFacts)> {
+        self.parsed.functions.iter().zip(self.facts()).filter_map(|(f, w)| Some((f, w.as_ref()?)))
+    }
+}
+
+/// Which files a summary rule is enabled for.
+pub type Scope<'a> = &'a dyn Fn(&str) -> bool;
+
+/// How a rule consumes the pipeline's output.
+pub enum Runner {
+    /// One file at a time: token patterns, or per-function facts.
+    File(fn(&SourceFile) -> Vec<Diagnostic>),
+    /// Every in-scope file at once: cross-function flows that build
+    /// their own summaries (lock-order graph, wire-length taint).
+    Files(fn(&[&SourceFile]) -> Vec<Diagnostic>),
+    /// The converged effect summaries of the shared call graph.
+    Summaries(fn(&CallGraph, Scope) -> Vec<Diagnostic>),
+}
+
+/// One row of the rule table.
+pub struct Rule {
+    pub id: &'static str,
+    /// Workspace-relative path prefixes the rule applies to (a full
+    /// file path is a prefix of itself).
+    pub scope: &'static [&'static str],
+    pub run: Runner,
+}
+
+const CORE: &str = "crates/core/src/";
+const GSI: &str = "crates/gsi/src/";
+const GRAM: &str = "crates/gram/src/";
+const PORTAL: &str = "crates/portal/src/";
+const CLI: &str = "crates/cli/src/";
+const CRYPTO: &str = "crates/crypto/src/";
+const OBS: &str = "crates/obs/src/";
+
+/// The attacker-reachable service crates.
+const SERVICE: &[&str] = &[CORE, GSI, GRAM, PORTAL];
+
+pub const RULES: &[Rule] = &[
+    Rule {
+        id: "R1",
+        // The attacker-reachable files named by the gate, plus all of
+        // mp-obs — the metrics layer runs inside every request handler,
+        // so a panic there takes the connection down with it.
+        scope: &[
+            "crates/core/src/server.rs",
+            "crates/core/src/store.rs",
+            "crates/core/src/proto.rs",
+            "crates/core/src/wal.rs",
+            "crates/core/src/repl.rs",
+            "crates/gsi/src/channel.rs",
+            "crates/gsi/src/wire.rs",
+            "crates/gsi/src/transport.rs",
+            "crates/gsi/src/net.rs",
+            OBS,
+        ],
+        run: Runner::File(availability::r1_panics),
+    },
+    // Everywhere in first-party sources (library code and binaries).
+    Rule { id: "R2", scope: &[""], run: Runner::File(secrets::r2_secret_hygiene) },
+    // Crates handling key material or wire authentication.
+    Rule {
+        id: "R3",
+        scope: &[CRYPTO, GSI, CORE, PORTAL],
+        run: Runner::File(secrets::r3_constant_time),
+    },
+    // DER length encoding and the GSI framing layer.
+    Rule {
+        id: "R4",
+        scope: &["crates/asn1/src/", "crates/gsi/src/wire.rs", "crates/gsi/src/record.rs"],
+        run: Runner::File(wire::r4_truncating_casts),
+    },
+    // Same blast radius as R3, plus mp-obs: a metric name or trace
+    // label derived from a secret would leak it on every scrape.
+    Rule {
+        id: "R5",
+        scope: &[CRYPTO, GSI, CORE, PORTAL, OBS],
+        run: Runner::File(secrets::r5_secret_taint),
+    },
+    Rule { id: "R6", scope: SERVICE, run: Runner::File(availability::r6_discarded_fallible) },
+    // The crates that share locks between connection threads, plus the
+    // worker-pool module itself. The rest of mp-gsi is deliberately
+    // out: its in-memory pipe *is* the transport primitive — the
+    // mutex/condvar rendezvous inside it is the I/O, not something
+    // held across I/O.
+    Rule {
+        id: "R7",
+        scope: &[CORE, GRAM, PORTAL, "crates/gsi/src/net.rs"],
+        run: Runner::Files(locks::r7_lock_discipline),
+    },
+    // Every crate whose code can run on a pool worker thread; gsi is
+    // included so helper summaries (channel, delegation) resolve, with
+    // the net.rs substrate's own blocking effects barriered inside it.
+    Rule {
+        id: "R8",
+        scope: &[CORE, GSI, GRAM, PORTAL, CLI],
+        run: Runner::Summaries(protocol::r8_pool_blocking),
+    },
+    // The crates that own WAL/store state and answer clients about it.
+    Rule { id: "R9", scope: &[CORE, GRAM], run: Runner::Summaries(protocol::r9_durability) },
+    // Everything that serves or spawns connection handlers.
+    Rule {
+        id: "R11",
+        scope: &[CORE, GRAM, PORTAL, CLI],
+        run: Runner::Summaries(protocol::r11_deadlines),
+    },
+    // Every crate that decodes frames or feeds decoded lengths into
+    // allocations.
+    Rule { id: "R12", scope: SERVICE, run: Runner::Files(wire::r12_wire_bounds) },
+    // The crates that drive channels or mutate stores.
+    Rule { id: "R13", scope: SERVICE, run: Runner::Summaries(protocol::r13_typestate) },
+    // The crates that stage tmp files, register handlers, or arm
+    // deadlines.
+    Rule { id: "R15", scope: SERVICE, run: Runner::Summaries(protocol::r15_leaks) },
+];
+
+/// A set of rules, keyed by position in [`RULES`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RuleSet(u32);
+
 impl RuleSet {
-    pub fn none(self) -> bool {
-        !(self.r1
-            || self.r2
-            || self.r3
-            || self.r4
-            || self.r5
-            || self.r6
-            || self.r7
-            || self.r8
-            || self.r9
-            || self.r10
-            || self.r11
-            || self.r12
-            || self.r13
-            || self.r14
-            || self.r15)
+    /// The rules named by `ids`. Panics on an id that is not in the
+    /// table — a typo in a test must not silently check nothing.
+    pub fn of(ids: &[&str]) -> Self {
+        RuleSet(ids.iter().fold(0, |bits, id| {
+            let i = RULES.iter().position(|r| r.id == *id);
+            bits | 1 << i.unwrap_or_else(|| panic!("no rule `{id}` in the table"))
+        }))
     }
 
     /// All rules on (fixtures and tests use this).
     pub fn all() -> Self {
-        RuleSet {
-            r1: true,
-            r2: true,
-            r3: true,
-            r4: true,
-            r5: true,
-            r6: true,
-            r7: true,
-            r8: true,
-            r9: true,
-            r10: true,
-            r11: true,
-            r12: true,
-            r13: true,
-            r14: true,
-            r15: true,
-        }
+        RuleSet((1 << RULES.len()) - 1)
     }
 
-    /// The v1 token-stream rules only.
-    pub fn v1() -> Self {
-        RuleSet { r1: true, r2: true, r3: true, r4: true, ..Default::default() }
+    pub fn has(self, id: &str) -> bool {
+        RULES.iter().position(|r| r.id == id).is_some_and(|i| self.0 >> i & 1 == 1)
+    }
+
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
     }
 }
 
-/// A parsed `// lint:allow(R1) reason` annotation.
-pub(crate) struct Allow {
-    rule: String,
-    /// Line the annotation suppresses: its own line for trailing
-    /// comments, the next line for standalone comment lines.
-    target_line: u32,
-    has_reason: bool,
-    /// Line the comment itself sits on (for diagnostics).
-    comment_line: u32,
-}
-
-pub(crate) fn parse_allows(comments: &[Comment]) -> Vec<Allow> {
-    let mut out = Vec::new();
-    for c in comments {
-        let Some(pos) = c.text.find("lint:allow(") else {
-            continue;
-        };
-        let after = &c.text[pos + "lint:allow(".len()..];
-        let Some(close) = after.find(')') else {
-            // Malformed; surface as a missing-reason violation.
-            out.push(Allow {
-                rule: String::new(),
-                target_line: if c.own_line { c.line + 1 } else { c.line },
-                has_reason: false,
-                comment_line: c.line,
-            });
-            continue;
-        };
-        let rule = after[..close].trim().to_string();
-        let reason = after[close + 1..].trim_start_matches([':', '-', ' ']).trim();
-        out.push(Allow {
-            rule,
-            target_line: if c.own_line { c.line + 1 } else { c.line },
-            has_reason: !reason.is_empty(),
-            comment_line: c.line,
-        });
+/// Which rules apply to a workspace-relative path (always with `/`
+/// separators). Empty for files the analyzer skips: vendored
+/// dependency shims, build output, the linter itself and its
+/// fixtures (they contain violations on purpose), non-Rust files,
+/// and integration tests (exercised code, not shipped code).
+pub fn rules_for_path(rel: &str) -> RuleSet {
+    if !rel.ends_with(".rs")
+        || rel.starts_with("vendor/")
+        || rel.starts_with("target/")
+        || rel.starts_with("crates/lint/")
+        || rel.starts_with("tests/")
+        || rel.contains("/tests/")
+        || rel.contains("/fixtures/")
+    {
+        return RuleSet::default();
     }
-    out
-}
-
-/// Identifier patterns treated as secret-bearing for R2/R3.
-pub(crate) fn is_secret_ident(ident: &str) -> bool {
-    let lower = ident.to_ascii_lowercase();
-    lower.contains("passphrase")
-        || lower.contains("pass_phrase")
-        || lower.contains("password")
-        || lower.contains("secret")
-        || lower == "priv"
-        || lower.starts_with("priv_")
-        || lower.contains("private_key")
-        || lower.ends_with("_key") && !lower.ends_with("public_key") && !lower.ends_with("pub_key")
-}
-
-/// Identifier patterns naming digest/MAC/tag values for R3.
-fn is_digest_ident(ident: &str) -> bool {
-    let lower = ident.to_ascii_lowercase();
-    lower == "mac" || lower.ends_with("_mac") || lower.starts_with("mac_")
-        || lower == "hmac" || lower.ends_with("_hmac")
-        || lower == "digest" || lower.ends_with("_digest") || lower.starts_with("digest_")
-        || lower == "fingerprint" || lower.ends_with("_fingerprint")
-        || lower == "anchor" || lower.ends_with("_anchor")
-        || lower == "tag" || lower.ends_with("_tag")
-}
-
-/// Format/printing macros whose arguments R2 inspects.
-pub(crate) fn is_format_macro(ident: &str) -> bool {
-    matches!(
-        ident,
-        "format" | "println" | "print" | "eprintln" | "eprint" | "write" | "writeln"
-            | "log" | "debug" | "info" | "warn" | "error" | "trace" | "panic" | "assert"
-            | "assert_eq" | "assert_ne" | "format_args"
-    )
-}
-
-/// Mark which tokens are inside test code: a `#[test]`-like attribute
-/// (any attribute containing the ident `test`, covering `#[test]` and
-/// `#[cfg(test)]`) followed by a `fn` or `mod` puts the entire
-/// following brace block in the test region.
-pub(crate) fn test_mask(tokens: &[Token]) -> Vec<bool> {
-    let mut mask = vec![false; tokens.len()];
-    let mut i = 0usize;
-    while i < tokens.len() {
-        if tokens[i].is_punct('#') && i + 1 < tokens.len() && tokens[i + 1].is_punct('[') {
-            // Scan the attribute to its closing ']'.
-            let mut depth = 0i32;
-            let mut j = i + 1;
-            let mut saw_test = false;
-            while j < tokens.len() {
-                if tokens[j].is_punct('[') {
-                    depth += 1;
-                } else if tokens[j].is_punct(']') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                } else if tokens[j].is_ident("test") {
-                    saw_test = true;
-                }
-                j += 1;
-            }
-            if saw_test {
-                // Find the following `{` (the fn/mod body) and mark
-                // through its matching `}`. Intervening attributes and
-                // signatures are marked too.
-                let mut k = j + 1;
-                let mut brace_depth = 0i32;
-                let mut started = false;
-                while k < tokens.len() {
-                    mask[k] = true;
-                    if tokens[k].is_punct('{') {
-                        brace_depth += 1;
-                        started = true;
-                    } else if tokens[k].is_punct('}') {
-                        brace_depth -= 1;
-                        if started && brace_depth == 0 {
-                            break;
-                        }
-                    } else if !started && tokens[k].is_punct(';') {
-                        // `#[cfg(test)] mod tests;` — file-scoped; stop.
-                        break;
-                    }
-                    k += 1;
-                }
-                i = j + 1;
-                continue;
-            }
-            i = j + 1;
-            continue;
-        }
-        i += 1;
-    }
-    mask
-}
-
-/// R1: panic-freedom. Flags `.unwrap()`, `.expect(`, `panic!`,
-/// `unreachable!`, `todo!`, `unimplemented!`, `assert!`-family and
-/// direct slice/array indexing `expr[...]` in non-test code.
-fn rule_r1(tokens: &[Token], mask: &[bool], diags: &mut Vec<Diagnostic>, file: &str) {
-    for (i, t) in tokens.iter().enumerate() {
-        if mask[i] || t.kind != TokenKind::Ident {
-            continue;
-        }
-        let next_bang = tokens.get(i + 1).map(|n| n.is_punct('!')).unwrap_or(false);
-        match t.text.as_str() {
-            "unwrap" | "expect" | "unwrap_unchecked" => {
-                let after_dot = i > 0 && tokens[i - 1].is_punct('.');
-                let called = tokens.get(i + 1).map(|n| n.is_punct('(')).unwrap_or(false);
-                if after_dot && called {
-                    diags.push(Diagnostic {
-                        file: file.into(),
-                        path: Vec::new(),
-                        line: t.line,
-                        rule: "R1",
-                        message: format!(
-                            ".{}() can panic on attacker-reachable input; return a typed error instead",
-                            t.text
-                        ),
-                    });
-                }
-            }
-            "panic" | "unreachable" | "todo" | "unimplemented" if next_bang => {
-                diags.push(Diagnostic {
-                    file: file.into(),
-                    path: Vec::new(),
-                    line: t.line,
-                    rule: "R1",
-                    message: format!(
-                        "{}! aborts the connection thread; answer with a protocol error instead",
-                        t.text
-                    ),
-                });
-            }
-            "assert" | "assert_eq" | "assert_ne" | "debug_assert" if next_bang => {
-                diags.push(Diagnostic {
-                    file: file.into(),
-                    path: Vec::new(),
-                    line: t.line,
-                    rule: "R1",
-                    message: format!(
-                        "{}! panics when the condition fails; validate and return an error instead",
-                        t.text
-                    ),
-                });
-            }
-            _ => {
-                // Indexing escape: `ident[` or `][`/`)[` — slice/array
-                // indexing that panics out of bounds. Exclude attribute
-                // brackets (`#[...]`) and type/macro positions by only
-                // firing when the `[` directly follows an ident or
-                // closing bracket AND is glued (no whitespace), which is
-                // how indexing is written.
-                if let Some(next) = tokens.get(i + 1) {
-                    if next.is_punct('[')
-                        && t.glues_with(next)
-                        && !is_non_indexing_ident(&t.text)
-                        // `ident![...]` is a macro invocation (vec![...]).
-                        && !next_bang
-                    {
-                        diags.push(Diagnostic {
-                            file: file.into(),
-                            path: Vec::new(),
-                            line: next.line,
-                            rule: "R1",
-                            message: format!(
-                                "indexing `{}[..]` panics out of bounds; use .get()/.get_mut() or split_at checks",
-                                t.text
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Idents followed by `[` that are NOT slice indexing (type names,
-/// common macro-ish forms). Heuristic: a capitalized ident in `Foo[`
-/// position does not occur in expressions; `vec!` handled separately.
-fn is_non_indexing_ident(ident: &str) -> bool {
-    ident
-        .chars()
-        .next()
-        .map(|c| c.is_ascii_uppercase())
-        .unwrap_or(true)
-}
-
-/// R2 (flow part): a secret-named identifier appearing inside the
-/// argument list of a format-like macro.
-fn rule_r2_flow(tokens: &[Token], mask: &[bool], diags: &mut Vec<Diagnostic>, file: &str) {
-    let mut i = 0usize;
-    while i < tokens.len() {
-        let t = &tokens[i];
-        let is_macro = t.kind == TokenKind::Ident
-            && is_format_macro(&t.text)
-            && tokens.get(i + 1).map(|n| n.is_punct('!')).unwrap_or(false);
-        if !is_macro || mask[i] {
-            i += 1;
-            continue;
-        }
-        // Walk the macro's delimited argument list.
-        let open = i + 2;
-        let Some(open_tok) = tokens.get(open) else {
-            break;
-        };
-        let (o, c) = match open_tok.text.as_str() {
-            "(" => ('(', ')'),
-            "[" => ('[', ']'),
-            "{" => ('{', '}'),
-            _ => {
-                i += 1;
-                continue;
-            }
-        };
-        let mut depth = 0i32;
-        let mut j = open;
-        while j < tokens.len() {
-            let tj = &tokens[j];
-            if tj.is_punct(o) {
-                depth += 1;
-            } else if tj.is_punct(c) {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            } else if tj.kind == TokenKind::Ident && is_secret_ident(&tj.text) && !mask[j] {
-                diags.push(Diagnostic {
-                    file: file.into(),
-                    path: Vec::new(),
-                    line: tj.line,
-                    rule: "R2",
-                    message: format!(
-                        "secret-named identifier `{}` flows into `{}!`; log a redacted form instead",
-                        tj.text, t.text
-                    ),
-                });
-            } else if tj.kind == TokenKind::Str && !mask[j] {
-                // Inline format captures: `"{passphrase}"`, `"{key:?}"`.
-                for cap in format_captures(&tj.text) {
-                    if is_secret_ident(&cap) {
-                        diags.push(Diagnostic {
-                            file: file.into(),
-                            path: Vec::new(),
-                            line: tj.line,
-                            rule: "R2",
-                            message: format!(
-                                "secret-named capture `{{{cap}}}` flows into `{}!`; log a redacted form instead",
-                                t.text
-                            ),
-                        });
-                    }
-                }
-            }
-            j += 1;
-        }
-        i = j + 1;
-    }
-}
-
-/// Identifiers captured inline by a format string: `{name}`, `{name:?}`.
-/// `{{` is an escaped brace; positional/empty captures are skipped.
-pub(crate) fn format_captures(s: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let bytes = s.as_bytes();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        if bytes[i] != b'{' {
-            i += 1;
-            continue;
-        }
-        if bytes.get(i + 1) == Some(&b'{') {
-            i += 2; // escaped `{{`
-            continue;
-        }
-        let mut j = i + 1;
-        let mut name = String::new();
-        while j < bytes.len() {
-            let c = bytes[j] as char;
-            if c == '}' || c == ':' {
-                break;
-            }
-            if c.is_ascii_alphanumeric() || c == '_' {
-                name.push(c);
-                j += 1;
-            } else {
-                name.clear();
-                break;
-            }
-        }
-        if !name.is_empty() && !name.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-            out.push(name);
-        }
-        i = j + 1;
-    }
-    out
-}
-
-/// R2 (at-rest part): a struct with a secret-named field must either
-/// store it as a zeroizing `Secret<..>` type or carry an `impl Drop`
-/// in the same file, and must not `#[derive(Debug)]`.
-fn rule_r2_structs(tokens: &[Token], mask: &[bool], diags: &mut Vec<Diagnostic>, file: &str) {
-    // Collect names with `impl Drop for Name` in this file.
-    let mut has_drop: Vec<String> = Vec::new();
-    for w in tokens.windows(4) {
-        if w[0].is_ident("impl") && w[1].is_ident("Drop") && w[2].is_ident("for") {
-            if w[3].kind == TokenKind::Ident {
-                has_drop.push(w[3].text.clone());
-            }
-        }
-    }
-
-    let mut i = 0usize;
-    while i < tokens.len() {
-        if !(tokens[i].is_ident("struct") && !mask[i]) {
-            i += 1;
-            continue;
-        }
-        let Some(name_tok) = tokens.get(i + 1) else {
-            break;
-        };
-        if name_tok.kind != TokenKind::Ident {
-            i += 1;
-            continue;
-        }
-        let struct_name = name_tok.text.clone();
-        let struct_line = tokens[i].line;
-
-        // Was the preceding attribute a derive containing Debug?
-        let derives_debug = {
-            // Scan backwards over attributes `#[...]` immediately before.
-            let mut found = false;
-            let mut k = i;
-            while k >= 2 {
-                // find a `]` just before position k (skipping doc comments
-                // is automatic — comments aren't tokens)
-                if !tokens[k - 1].is_punct(']') {
-                    break;
-                }
-                // walk back to matching '['
-                let mut depth = 0i32;
-                let mut m = k - 1;
-                loop {
-                    if tokens[m].is_punct(']') {
-                        depth += 1;
-                    } else if tokens[m].is_punct('[') {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    if m == 0 {
-                        break;
-                    }
-                    m -= 1;
-                }
-                let attr_start = m.saturating_sub(1);
-                let has_derive = tokens[attr_start..k].iter().any(|t| t.is_ident("derive"));
-                let has_debug = tokens[attr_start..k].iter().any(|t| t.is_ident("Debug"));
-                if has_derive && has_debug {
-                    found = true;
-                }
-                if attr_start == 0 {
-                    break;
-                }
-                k = attr_start;
-            }
-            found
-        };
-
-        // Walk the struct body `{ ... }` collecting field (name, type text).
-        let mut j = i + 2;
-        while j < tokens.len() && !tokens[j].is_punct('{') && !tokens[j].is_punct(';') {
-            j += 1;
-        }
-        if j >= tokens.len() || tokens[j].is_punct(';') {
-            i = j + 1;
-            continue; // unit/tuple struct: nothing named to inspect
-        }
-        let mut depth = 0i32;
-        let mut fields: Vec<(String, String, u32)> = Vec::new(); // (name, type, line)
-        let body_start = j;
-        let mut k = j;
-        while k < tokens.len() {
-            if tokens[k].is_punct('{') {
-                depth += 1;
-            } else if tokens[k].is_punct('}') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            } else if depth == 1
-                && tokens[k].kind == TokenKind::Ident
-                && tokens.get(k + 1).map(|n| n.is_punct(':')).unwrap_or(false)
-                // exclude `::` paths
-                && !tokens.get(k + 2).map(|n| n.is_punct(':') && tokens[k+1].glues_with(n)).unwrap_or(false)
-            {
-                // Field type: tokens until `,` or closing `}` at depth 1.
-                let mut ty = String::new();
-                let mut m = k + 2;
-                let mut tdepth = 0i32;
-                while m < tokens.len() {
-                    let tm = &tokens[m];
-                    if tm.is_punct('<') || tm.is_punct('(') || tm.is_punct('[') {
-                        tdepth += 1;
-                    } else if tm.is_punct('>') || tm.is_punct(')') || tm.is_punct(']') {
-                        tdepth -= 1;
-                    } else if (tm.is_punct(',') && tdepth == 0) || (tm.is_punct('}') && tdepth <= 0) {
-                        break;
-                    }
-                    ty.push_str(&tm.text);
-                    m += 1;
-                }
-                fields.push((tokens[k].text.clone(), ty, tokens[k].line));
-                k = m;
-                continue;
-            }
-            k += 1;
-        }
-        let _ = body_start;
-
-        let struct_in_test = mask[i];
-        if !struct_in_test {
-            for (fname, fty, fline) in &fields {
-                if !is_secret_ident(fname) || is_scalar_type(fty) {
-                    continue;
-                }
-                let zeroizing = fty.contains("Secret");
-                if derives_debug && !zeroizing {
-                    diags.push(Diagnostic {
-                        file: file.into(),
-                        path: Vec::new(),
-                        line: *fline,
-                        rule: "R2",
-                        message: format!(
-                            "struct `{struct_name}` derives Debug but field `{fname}` is secret-named; \
-                             implement Debug manually (redacted) or wrap the field in mp_crypto::Secret"
-                        ),
-                    });
-                }
-                if !zeroizing && !has_drop.contains(&struct_name) {
-                    diags.push(Diagnostic {
-                        file: file.into(),
-                        path: Vec::new(),
-                        line: *fline,
-                        rule: "R2",
-                        message: format!(
-                            "secret-bearing field `{fname}` of `{struct_name}` is neither a \
-                             mp_crypto::Secret nor covered by an impl Drop in this file; \
-                             freed memory would retain the secret"
-                        ),
-                    });
-                }
-            }
-        }
-        i = k + 1;
-        let _ = struct_line;
-    }
-}
-
-/// Field types that cannot hold secret byte material: lengths, counts,
-/// flags and other scalars *about* a secret are not the secret itself
-/// (`min_passphrase_len: usize` must not trip R2).
-fn is_scalar_type(ty: &str) -> bool {
-    matches!(
-        ty,
-        "usize" | "u8" | "u16" | "u32" | "u64" | "u128" | "isize" | "i8" | "i16" | "i32"
-            | "i64" | "i128" | "bool" | "f32" | "f64" | "char"
-    )
-}
-
-/// R3: `==` / `!=` with a digest/MAC/tag-named operand nearby, unless
-/// one side is a literal (protocol constants like `tag == 0x30` are
-/// public values, not secrets).
-fn rule_r3(tokens: &[Token], mask: &[bool], diags: &mut Vec<Diagnostic>, file: &str) {
-    for i in 0..tokens.len() {
-        let a = &tokens[i];
-        let Some(b) = tokens.get(i + 1) else { break };
-        let is_eq = (a.is_punct('=') && b.is_punct('=') && a.glues_with(b))
-            || (a.is_punct('!') && b.is_punct('=') && a.glues_with(b));
-        if !is_eq || mask[i] {
-            continue;
-        }
-        // `==` as part of `<=`/`>=`/`=>`? Those are (ge/le) `=`+`=`?
-        // No: `<=` lexes as '<','='; the pair here is exactly ==/!=.
-        // Skip pattern-match `!=` inside generics? Not applicable.
-
-        // Window of operand tokens on each side.
-        let lo = i.saturating_sub(6);
-        let hi = (i + 8).min(tokens.len());
-        let window = &tokens[lo..hi];
-        let has_digest_ident = window
-            .iter()
-            .any(|t| t.kind == TokenKind::Ident && is_digest_ident(&t.text));
-        if !has_digest_ident {
-            continue;
-        }
-        // Literal on either immediate side disarms the rule: comparing a
-        // tag byte with a protocol constant is not a secret comparison.
-        let right_lit = tokens
-            .get(i + 2)
-            .map(|t| t.kind == TokenKind::Number || t.kind == TokenKind::Str || t.kind == TokenKind::Char)
-            .unwrap_or(false);
-        let left_lit = i > 0
-            && tokens
-                .get(i - 1)
-                .map(|t| t.kind == TokenKind::Number || t.kind == TokenKind::Str || t.kind == TokenKind::Char)
-                .unwrap_or(false);
-        // Enum-variant comparisons (`Tag::SEQUENCE`) are public protocol
-        // constants too: a `::` path with an ALL_CAPS or CamelCase tail
-        // right of the operator.
-        let right_const_path = tokens.get(i + 2).map(is_const_like).unwrap_or(false)
-            || tokens.get(i + 3).map(|t| t.is_punct(':')).unwrap_or(false);
-        if right_lit || left_lit || right_const_path {
-            continue;
-        }
-        diags.push(Diagnostic {
-            file: file.into(),
-            path: Vec::new(),
-            line: a.line,
-            rule: "R3",
-            message: "digest/MAC/tag compared with == or !=; timing leaks where they differ — use mp_crypto::ct_eq"
-                .into(),
-        });
-    }
-}
-
-fn is_const_like(t: &Token) -> bool {
-    t.kind == TokenKind::Ident
-        && t.text.chars().next().map(|c| c.is_ascii_uppercase()).unwrap_or(false)
-}
-
-/// R4: truncating `as u8`/`as u16`/`as u32` casts with a length-ish
-/// identifier in the preceding expression tokens.
-fn rule_r4(tokens: &[Token], mask: &[bool], diags: &mut Vec<Diagnostic>, file: &str) {
-    for i in 0..tokens.len() {
-        let t = &tokens[i];
-        if mask[i] || !t.is_ident("as") {
-            continue;
-        }
-        let Some(ty) = tokens.get(i + 1) else { break };
-        if !(ty.is_ident("u8") || ty.is_ident("u16") || ty.is_ident("u32")) {
-            continue;
-        }
-        let lo = i.saturating_sub(8);
-        let lenish = tokens[lo..i].iter().any(|p| {
-            p.kind == TokenKind::Ident && {
-                let l = p.text.to_ascii_lowercase();
-                l == "len" || l == "length" || l.ends_with("_len") || l.ends_with("_length")
-                    || l == "size" || l.ends_with("_size")
-                    || l == "count" || l.ends_with("_count")
-                    || l == "remaining" || l == "capacity"
-            }
-        });
-        if lenish {
-            diags.push(Diagnostic {
-                file: file.into(),
-                path: Vec::new(),
-                line: t.line,
-                rule: "R4",
-                message: format!(
-                    "length value cast with `as {}` can silently truncate; use try_from with an explicit bound",
-                    ty.text
-                ),
-            });
-        }
-    }
-}
-
-/// Run the selected rules over one file's source.
-pub fn check_source(file: &str, src: &str, rules: RuleSet) -> Vec<Diagnostic> {
-    let lexed = lex(src);
-    let mask = test_mask(&lexed.tokens);
-    let mut raw = Vec::new();
-
-    if rules.r1 {
-        rule_r1(&lexed.tokens, &mask, &mut raw, file);
-    }
-    if rules.r2 {
-        rule_r2_flow(&lexed.tokens, &mask, &mut raw, file);
-        rule_r2_structs(&lexed.tokens, &mask, &mut raw, file);
-    }
-    if rules.r3 {
-        rule_r3(&lexed.tokens, &mask, &mut raw, file);
-    }
-    if rules.r4 {
-        rule_r4(&lexed.tokens, &mask, &mut raw, file);
-    }
-    if rules.r5 || rules.r6 || rules.r7 {
-        match crate::parser::parse_source(src) {
-            Ok(parsed) => crate::rules_v2::run_v2(file, &parsed, rules, &mut raw),
-            Err(e) => raw.push(Diagnostic::new(
-                file,
-                e.line,
-                "parse",
-                format!("mp-lint parser failed ({e}); dataflow rules not applied"),
-            )),
-        }
-    }
-
-    // Apply lint:allow annotations.
-    let allows = parse_allows(&lexed.comments);
-    let mut out = Vec::new();
-    for a in &allows {
-        if !a.has_reason {
-            out.push(Diagnostic {
-                file: file.into(),
-                path: Vec::new(),
-                line: a.comment_line,
-                rule: "allow",
-                message: if a.rule.is_empty() {
-                    "malformed lint:allow annotation (expected `lint:allow(<rule>) <reason>`)".into()
-                } else {
-                    format!(
-                        "lint:allow({}) without a reason; annotations must justify themselves",
-                        a.rule
-                    )
-                },
-            });
-        }
-    }
-    for d in raw {
-        let suppressed = allows.iter().any(|a| {
-            a.has_reason && a.target_line == d.line && (a.rule == d.rule || a.rule == "all")
-        });
-        if !suppressed {
-            out.push(d);
-        }
-    }
-    out.sort_by(|x, y| (x.line, x.rule).cmp(&(y.line, y.rule)));
-    out
-}
-
-/// Whether a finding of `rule` at `line` is waived (with a reason) by
-/// a `lint:allow` annotation in `src`. Used by the cross-file lock
-/// graph pass, whose diagnostics are produced outside [`check_source`].
-pub fn is_waived(src: &str, rule: &str, line: u32) -> bool {
-    let lexed = lex(src);
-    parse_allows(&lexed.comments)
-        .iter()
-        .any(|a| a.has_reason && a.target_line == line && (a.rule == rule || a.rule == "all"))
+    let applies = |r: &Rule| r.scope.iter().any(|prefix| rel.starts_with(prefix));
+    RuleSet(RULES.iter().enumerate().fold(0, |bits, (i, r)| bits | u32::from(applies(r)) << i))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check_source;
 
-    const ALL: RuleSet = RuleSet {
-        r1: true,
-        r2: true,
-        r3: true,
-        r4: true,
-        r5: false,
-        r6: false,
-        r7: false,
-        r8: false,
-        r9: false,
-        r10: false,
-        r11: false,
-        r12: false,
-        r13: false,
-        r14: false,
-        r15: false,
-    };
+    fn token_rules() -> RuleSet {
+        RuleSet::of(&["R1", "R2", "R3", "R4"])
+    }
 
     fn lines_with(diags: &[Diagnostic], rule: &str) -> Vec<u32> {
         diags.iter().filter(|d| d.rule == rule).map(|d| d.line).collect()
@@ -836,50 +288,51 @@ mod tests {
 
     #[test]
     fn r1_flags_unwrap_and_panic() {
-        let src = "fn f(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\nfn g() {\n    panic!(\"boom\");\n}\n";
-        let d = check_source("t.rs", src, ALL);
+        let src =
+            "fn f(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\nfn g() {\n    panic!(\"boom\");\n}\n";
+        let d = check_source("t.rs", src, token_rules());
         assert_eq!(lines_with(&d, "R1"), vec![2, 5]);
     }
 
     #[test]
     fn r1_skips_test_code() {
         let src = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { Some(1).unwrap(); }\n}\n";
-        let d = check_source("t.rs", src, ALL);
+        let d = check_source("t.rs", src, token_rules());
         assert!(lines_with(&d, "R1").is_empty(), "{d:?}");
     }
 
     #[test]
     fn r1_flags_indexing_but_not_macros_or_types() {
         let src = "fn f(xs: &[u8]) -> u8 {\n    let v = vec![1, 2];\n    let t: [u8; 4] = [0; 4];\n    xs[0]\n}\n";
-        let d = check_source("t.rs", src, ALL);
+        let d = check_source("t.rs", src, token_rules());
         assert_eq!(lines_with(&d, "R1"), vec![4]);
     }
 
     #[test]
     fn r2_flags_secret_in_format() {
         let src = "fn f(passphrase: &str) {\n    println!(\"pw={}\", passphrase);\n}\n";
-        let d = check_source("t.rs", src, ALL);
+        let d = check_source("t.rs", src, token_rules());
         assert_eq!(lines_with(&d, "R2"), vec![2]);
     }
 
     #[test]
     fn r2_flags_inline_format_capture() {
         let src = "fn f(passphrase: &str) {\n    println!(\"pw={passphrase}\");\n}\n";
-        let d = check_source("t.rs", src, ALL);
+        let d = check_source("t.rs", src, token_rules());
         assert_eq!(lines_with(&d, "R2"), vec![2]);
     }
 
     #[test]
     fn r2_ignores_secret_word_in_string_literal() {
         let src = "fn f() {\n    println!(\"enter your passphrase: \");\n}\n";
-        let d = check_source("t.rs", src, ALL);
+        let d = check_source("t.rs", src, token_rules());
         assert!(lines_with(&d, "R2").is_empty(), "{d:?}");
     }
 
     #[test]
     fn r2_flags_debug_derive_on_secret_struct() {
         let src = "#[derive(Clone, Debug)]\nstruct Creds {\n    username: String,\n    passphrase: String,\n}\n";
-        let d = check_source("t.rs", src, ALL);
+        let d = check_source("t.rs", src, token_rules());
         // Two findings: Debug derive + missing Drop.
         assert_eq!(lines_with(&d, "R2"), vec![4, 4]);
     }
@@ -887,55 +340,55 @@ mod tests {
     #[test]
     fn r2_ignores_scalar_fields_about_secrets() {
         let src = "#[derive(Debug)]\nstruct Policy {\n    min_passphrase_len: usize,\n    require_passphrase: bool,\n}\n";
-        let d = check_source("t.rs", src, ALL);
+        let d = check_source("t.rs", src, token_rules());
         assert!(lines_with(&d, "R2").is_empty(), "{d:?}");
     }
 
     #[test]
     fn r2_accepts_secret_wrapper_or_drop() {
         let ok1 = "struct Creds {\n    passphrase: Secret<String>,\n}\n";
-        assert!(check_source("t.rs", ok1, ALL).is_empty());
+        assert!(check_source("t.rs", ok1, token_rules()).is_empty());
         let ok2 = "struct Creds {\n    passphrase: String,\n}\nimpl Drop for Creds {\n    fn drop(&mut self) { }\n}\n";
-        assert!(check_source("t.rs", ok2, ALL).is_empty());
+        assert!(check_source("t.rs", ok2, token_rules()).is_empty());
     }
 
     #[test]
     fn r3_flags_mac_equality_but_not_protocol_tags() {
         let bad = "fn f(their_mac: &[u8], expect: &[u8]) -> bool {\n    their_mac == expect\n}\n";
-        let d = check_source("t.rs", bad, ALL);
+        let d = check_source("t.rs", bad, token_rules());
         assert_eq!(lines_with(&d, "R3"), vec![2]);
 
         let ok = "fn f(tag: u8) -> bool {\n    tag == 0x30\n}\n";
-        assert!(check_source("t.rs", ok, ALL).is_empty());
+        assert!(check_source("t.rs", ok, token_rules()).is_empty());
 
         let ok2 = "fn f(tag: Tag) -> bool {\n    tag == Tag::SEQUENCE\n}\n";
-        assert!(check_source("t.rs", ok2, ALL).is_empty());
+        assert!(check_source("t.rs", ok2, token_rules()).is_empty());
     }
 
     #[test]
     fn r4_flags_len_truncation() {
         let bad = "fn f(v: &[u8]) -> u8 {\n    v.len() as u8\n}\n";
-        let d = check_source("t.rs", bad, ALL);
+        let d = check_source("t.rs", bad, token_rules());
         assert_eq!(lines_with(&d, "R4"), vec![2]);
 
         // Widening a byte is fine; no length ident nearby.
         let ok = "fn g(b: u8) -> u32 {\n    (b - 48) as u32\n}\n";
-        assert!(check_source("t.rs", ok, ALL).is_empty());
+        assert!(check_source("t.rs", ok, token_rules()).is_empty());
     }
 
     #[test]
     fn allow_with_reason_suppresses() {
         let src = "fn f(v: &[u8]) -> u8 {\n    v.len() as u8 // lint:allow(R4) bounded to 16 by caller\n}\n";
-        assert!(check_source("t.rs", src, ALL).is_empty());
+        assert!(check_source("t.rs", src, token_rules()).is_empty());
         // Standalone comment line applies to the next line.
         let src2 = "fn f(v: &[u8]) -> u8 {\n    // lint:allow(R4) bounded to 16 by caller\n    v.len() as u8\n}\n";
-        assert!(check_source("t.rs", src2, ALL).is_empty());
+        assert!(check_source("t.rs", src2, token_rules()).is_empty());
     }
 
     #[test]
     fn allow_without_reason_is_a_violation() {
         let src = "fn f(v: &[u8]) -> u8 {\n    v.len() as u8 // lint:allow(R4)\n}\n";
-        let d = check_source("t.rs", src, ALL);
+        let d = check_source("t.rs", src, token_rules());
         assert!(d.iter().any(|x| x.rule == "allow"), "{d:?}");
         // And the original violation is NOT suppressed.
         assert!(d.iter().any(|x| x.rule == "R4"), "{d:?}");
@@ -943,15 +396,16 @@ mod tests {
 
     #[test]
     fn allow_for_wrong_rule_does_not_suppress() {
-        let src = "fn f(v: &[u8]) -> u8 {\n    v.len() as u8 // lint:allow(R1) wrong rule cited\n}\n";
-        let d = check_source("t.rs", src, ALL);
+        let src =
+            "fn f(v: &[u8]) -> u8 {\n    v.len() as u8 // lint:allow(R1) wrong rule cited\n}\n";
+        let d = check_source("t.rs", src, token_rules());
         assert!(d.iter().any(|x| x.rule == "R4"), "{d:?}");
     }
 
     #[test]
     fn diagnostics_carry_file_and_line() {
         let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
-        let d = check_source("crates/core/src/server.rs", src, ALL);
+        let d = check_source("crates/core/src/server.rs", src, token_rules());
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].file, "crates/core/src/server.rs");
         assert_eq!(d[0].line, 1);

@@ -1,35 +1,29 @@
 //! SARIF-lite report emission: a small, stable JSON shape carrying
-//! rule id, location, message, taint path, and baseline status. The
-//! checked-in schema (`docs/mp-lint.sarif-lite.schema.json`) pins the
-//! shape; `tests/sarif_schema.rs` validates real output against it.
+//! rule id, location, message and taint path. The checked-in schema
+//! (`docs/mp-lint.sarif-lite.schema.json`) pins the shape;
+//! `tests/sarif_schema.rs` validates real output against it.
 
 use crate::json::Value;
-use crate::rules::Diagnostic;
+use crate::rules::{Diagnostic, RULES};
 
 pub const TOOL_NAME: &str = "mp-lint";
-pub const TOOL_VERSION: &str = "4.0";
+pub const TOOL_VERSION: &str = "5.0";
 
-/// Rules whose finding counts are summarized at the document top level
-/// (`summary."lint.findings.<rule>"`) so dashboards can trend the
-/// inter-procedural families without walking `results`.
-const SUMMARY_RULES: &[(&str, &str)] = &[
-    ("lint.findings.r8", "R8"),
-    ("lint.findings.r9", "R9"),
-    ("lint.findings.r10", "R10"),
-    ("lint.findings.r11", "R11"),
-    ("lint.findings.r12", "R12"),
-    ("lint.findings.r13", "R13"),
-    ("lint.findings.r14", "R14"),
-    ("lint.findings.r15", "R15"),
-];
+/// The document-level summary key for a rule: finding counts per rule
+/// in the table (`summary."lint.findings.<rule>"`), so dashboards can
+/// trend rule pressure without walking `results`.
+pub fn summary_key(rule: &str) -> String {
+    format!("lint.findings.{}", rule.to_ascii_lowercase())
+}
 
 /// Build the SARIF-lite document for a set of diagnostics.
-/// `baselined` marks findings present in the committed baseline (they
-/// are reported but do not fail the gate).
-pub fn report(findings: &[(Diagnostic, bool)]) -> Value {
+pub fn report(findings: &[Diagnostic]) -> Value {
+    let step = |s: &crate::rules::TaintStep| {
+        Value::obj(vec![("line", Value::Num(s.line as f64)), ("note", Value::Str(s.note.clone()))])
+    };
     let results: Vec<Value> = findings
         .iter()
-        .map(|(d, baselined)| {
+        .map(|d| {
             let mut pairs = vec![
                 ("ruleId", Value::Str(d.rule.to_string())),
                 ("level", Value::Str("error".into())),
@@ -41,35 +35,21 @@ pub fn report(findings: &[(Diagnostic, bool)]) -> Value {
                         ("line", Value::Num(d.line as f64)),
                     ]),
                 ),
-                ("baselined", Value::Bool(*baselined)),
             ];
             if !d.path.is_empty() {
-                pairs.push((
-                    "taintPath",
-                    Value::Arr(
-                        d.path
-                            .iter()
-                            .map(|s| {
-                                Value::obj(vec![
-                                    ("line", Value::Num(s.line as f64)),
-                                    ("note", Value::Str(s.note.clone())),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
+                pairs.push(("taintPath", Value::Arr(d.path.iter().map(step).collect())));
             }
             Value::obj(pairs)
         })
         .collect();
 
-    // Summary counts include baselined findings: the summary trends
-    // total rule pressure, the gate decides pass/fail separately.
-    let summary: Vec<(&str, Value)> = SUMMARY_RULES
+    let keys: Vec<String> = RULES.iter().map(|r| summary_key(r.id)).collect();
+    let summary: Vec<(&str, Value)> = RULES
         .iter()
-        .map(|(key, rule)| {
-            let n = findings.iter().filter(|(d, _)| d.rule == *rule).count();
-            (*key, Value::Num(n as f64))
+        .zip(&keys)
+        .map(|(r, key)| {
+            let n = findings.iter().filter(|d| d.rule == r.id).count();
+            (key.as_str(), Value::Num(n as f64))
         })
         .collect();
 
@@ -95,9 +75,9 @@ mod tests {
 
     #[test]
     fn report_shape() {
-        let mut d = Diagnostic::new("crates/core/src/x.rs", 7, "R5", "leak".into());
-        d.path = vec![TaintStep { line: 3, note: "origin".into() }];
-        let v = report(&[(d, false)]);
+        let d = Diagnostic::new("crates/core/src/x.rs", 7, "R5", "leak".into())
+            .with_path(vec![TaintStep { line: 3, note: "origin".into() }]);
+        let v = report(&[d]);
         let results = v.get("results").and_then(Value::as_arr).expect("results");
         assert_eq!(results.len(), 1);
         let r = &results[0];
@@ -117,24 +97,25 @@ mod tests {
         assert_eq!(v.get("results").and_then(Value::as_arr).map(|a| a.len()), Some(0));
         assert_eq!(v.get("version").and_then(Value::as_str), Some("3"));
         let summary = v.get("summary").expect("summary");
-        for (key, _) in SUMMARY_RULES {
-            assert_eq!(summary.get(key).and_then(Value::as_num), Some(0.0), "{key}");
+        for rule in RULES {
+            let key = summary_key(rule.id);
+            assert_eq!(summary.get(&key).and_then(Value::as_num), Some(0.0), "{key}");
         }
     }
 
     #[test]
-    fn summary_counts_by_rule_including_baselined() {
+    fn summary_counts_by_rule() {
         let findings = vec![
-            (Diagnostic::new("a.rs", 1, "R8", "x".into()), false),
-            (Diagnostic::new("a.rs", 2, "R9", "x".into()), true),
-            (Diagnostic::new("a.rs", 3, "R9", "x".into()), false),
-            (Diagnostic::new("a.rs", 4, "R1", "x".into()), false),
+            Diagnostic::new("a.rs", 1, "R8", "x".into()),
+            Diagnostic::new("a.rs", 2, "R9", "x".into()),
+            Diagnostic::new("a.rs", 3, "R9", "x".into()),
+            Diagnostic::new("a.rs", 4, "R1", "x".into()),
         ];
         let v = report(&findings);
         let s = v.get("summary").expect("summary");
         assert_eq!(s.get("lint.findings.r8").and_then(Value::as_num), Some(1.0));
         assert_eq!(s.get("lint.findings.r9").and_then(Value::as_num), Some(2.0));
-        assert_eq!(s.get("lint.findings.r10").and_then(Value::as_num), Some(0.0));
         assert_eq!(s.get("lint.findings.r11").and_then(Value::as_num), Some(0.0));
+        assert_eq!(s.get("lint.findings.r10"), None, "retired rules have no key");
     }
 }

@@ -4,38 +4,15 @@
 //! silent, and the `lint:allow` escape hatch must behave exactly as
 //! documented for every rule family.
 
+use mp_lint::rules::RULES;
 use mp_lint::{check_files, check_source, Diagnostic, RuleSet};
 use std::path::PathBuf;
 
-const NONE: RuleSet = RuleSet {
-    r1: false,
-    r2: false,
-    r3: false,
-    r4: false,
-    r5: false,
-    r6: false,
-    r7: false,
-    r8: false,
-    r9: false,
-    r10: false,
-    r11: false,
-    r12: false,
-    r13: false,
-    r14: false,
-    r15: false,
-};
-const V1: RuleSet = RuleSet { r1: true, r2: true, r3: true, r4: true, ..NONE };
-const R5_ONLY: RuleSet = RuleSet { r5: true, ..NONE };
-const R6_ONLY: RuleSet = RuleSet { r6: true, ..NONE };
-const R7_ONLY: RuleSet = RuleSet { r7: true, ..NONE };
-const R8_ONLY: RuleSet = RuleSet { r8: true, ..NONE };
-const R9_ONLY: RuleSet = RuleSet { r9: true, ..NONE };
-const R10_ONLY: RuleSet = RuleSet { r10: true, ..NONE };
-const R11_ONLY: RuleSet = RuleSet { r11: true, ..NONE };
-const R12_ONLY: RuleSet = RuleSet { r12: true, ..NONE };
-const R13_ONLY: RuleSet = RuleSet { r13: true, ..NONE };
-const R14_ONLY: RuleSet = RuleSet { r14: true, ..NONE };
-const R15_ONLY: RuleSet = RuleSet { r15: true, ..NONE };
+/// The token rules, which the first four fixtures and the waiver
+/// fixtures run under together.
+fn token_rules() -> RuleSet {
+    RuleSet::of(&["R1", "R2", "R3", "R4"])
+}
 
 fn fixture_source(name: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -50,7 +27,7 @@ fn run_fixture_with(name: &str, rules: RuleSet) -> Vec<Diagnostic> {
 }
 
 fn run_fixture(name: &str) -> Vec<Diagnostic> {
-    run_fixture_with(name, V1)
+    run_fixture_with(name, token_rules())
 }
 
 /// (rule, line) pairs, sorted, for compact comparison.
@@ -107,7 +84,7 @@ fn r4_fixture_flags_length_truncations_only() {
 
 #[test]
 fn r5_fixture_flags_macro_wire_return_and_debug_sinks() {
-    let diags = run_fixture_with("r5_secret_taint.rs", R5_ONLY);
+    let diags = run_fixture_with("r5_secret_taint.rs", RuleSet::of(&["R5"]));
     assert_eq!(
         findings(&diags),
         vec![
@@ -122,7 +99,7 @@ fn r5_fixture_flags_macro_wire_return_and_debug_sinks() {
 
 #[test]
 fn r5_fixture_reports_the_taint_path() {
-    let diags = run_fixture_with("r5_secret_taint.rs", R5_ONLY);
+    let diags = run_fixture_with("r5_secret_taint.rs", RuleSet::of(&["R5"]));
     let d = diags.iter().find(|d| d.line == 8).expect("macro-sink finding");
     let path: Vec<(u32, &str)> = d.path.iter().map(|s| (s.line, s.note.as_str())).collect();
     assert_eq!(
@@ -139,7 +116,7 @@ fn r5_fixture_reports_the_taint_path() {
 
 #[test]
 fn r6_fixture_flags_discarded_results_only() {
-    let diags = run_fixture_with("r6_discarded_fallible.rs", R6_ONLY);
+    let diags = run_fixture_with("r6_discarded_fallible.rs", RuleSet::of(&["R6"]));
     assert_eq!(
         findings(&diags),
         vec![
@@ -156,7 +133,7 @@ fn r7_fixture_flags_held_guards_and_order_cycles() {
     // Through check_files so the cross-function lock-graph pass runs.
     let name = "r7_lock_discipline.rs".to_string();
     let src = fixture_source(&name);
-    let diags = check_files(&[(name, src, R7_ONLY)]);
+    let diags = check_files(&[(name, src, RuleSet::of(&["R7"]))]);
     let f = findings(&diags);
     assert!(f.contains(&("R7", 7)), "send under guard missing: {diags:#?}");
     assert!(f.contains(&("R7", 12)), "disk write under guard missing: {diags:#?}");
@@ -171,16 +148,43 @@ fn r7_fixture_flags_held_guards_and_order_cycles() {
     assert_eq!(f.len(), 3, "unexpected extras: {diags:#?}");
 }
 
-/// Run one fixture through the cross-file pass (the only place the
-/// inter-procedural R8–R11 families execute).
-fn run_v3_fixture(name: &str, rules: RuleSet) -> Vec<Diagnostic> {
-    let src = fixture_source(name);
-    check_files(&[(name.to_string(), src, rules)])
+/// Every rule in the table has a fixture named after it that shows it
+/// firing (positive) and shows it staying silent on a look-alike — a
+/// function the rule walked and found nothing in (negative). A rule
+/// registered without both fails here.
+#[test]
+fn every_registered_rule_has_a_positive_and_a_negative_fixture() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("fixtures dir")
+        .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    for rule in RULES {
+        let prefix = format!("{}_", rule.id.to_ascii_lowercase());
+        let name = names
+            .iter()
+            .find(|n| n.starts_with(&prefix))
+            .unwrap_or_else(|| panic!("rule {} has no fixture `{prefix}*.rs`", rule.id));
+        let src = fixture_source(name);
+        let diags = run_fixture_with(name, RuleSet::of(&[rule.id]));
+        assert!(
+            !diags.is_empty() && diags.iter().all(|d| d.rule == rule.id),
+            "{name} must make {} (and only it) fire: {diags:#?}",
+            rule.id
+        );
+        let parsed = mp_lint::parser::parse_source(&src).expect("fixture parses");
+        let line_of = |byte: usize| 1 + src[..byte].matches('\n').count() as u32;
+        let silent_fn = parsed.functions.iter().any(|f| {
+            let lines = f.line..=line_of(f.span.1);
+            !diags.iter().any(|d| lines.contains(&d.line))
+        });
+        assert!(silent_fn, "{name} has no function {} stays silent on", rule.id);
+    }
 }
 
 #[test]
 fn r8_fixture_flags_blocking_reachable_from_pool_workers() {
-    let diags = run_v3_fixture("r8_pool_blocking.rs", R8_ONLY);
+    let diags = run_fixture_with("r8_pool_blocking.rs", RuleSet::of(&["R8"]));
     assert_eq!(
         findings(&diags),
         vec![
@@ -194,7 +198,7 @@ fn r8_fixture_flags_blocking_reachable_from_pool_workers() {
 
 #[test]
 fn r8_fixture_carries_the_call_path() {
-    let diags = run_v3_fixture("r8_pool_blocking.rs", R8_ONLY);
+    let diags = run_fixture_with("r8_pool_blocking.rs", RuleSet::of(&["R8"]));
     let d = diags.iter().find(|d| d.line == 16).expect("drain_all finding");
     assert!(
         d.path.iter().any(|s| s.note.contains("drain_all")),
@@ -210,7 +214,7 @@ fn r8_fixture_carries_the_call_path() {
 
 #[test]
 fn r9_fixture_flags_ack_order_mutation_order_and_bare_rename() {
-    let diags = run_v3_fixture("r9_durability.rs", R9_ONLY);
+    let diags = run_fixture_with("r9_durability.rs", RuleSet::of(&["R9"]));
     assert_eq!(
         findings(&diags),
         vec![
@@ -224,7 +228,7 @@ fn r9_fixture_flags_ack_order_mutation_order_and_bare_rename() {
 
 #[test]
 fn r9_fixture_traces_the_append_across_functions() {
-    let diags = run_v3_fixture("r9_durability.rs", R9_ONLY);
+    let diags = run_fixture_with("r9_durability.rs", RuleSet::of(&["R9"]));
     let d = diags.iter().find(|d| d.line == 14).expect("ack-before-fsync finding");
     assert!(
         d.path.iter().any(|s| s.note.contains("journal_append")),
@@ -239,24 +243,8 @@ fn r9_fixture_traces_the_append_across_functions() {
 }
 
 #[test]
-fn r10_fixture_flags_strong_and_mixed_orderings() {
-    let diags = run_v3_fixture("r10_atomics.rs", R10_ONLY);
-    assert_eq!(
-        findings(&diags),
-        vec![
-            ("R10", 6),  // SeqCst on a stats counter
-            ("R10", 10), // Acquire on `mixed`
-            ("R10", 14), // mixed regime on `mixed` (anchored at the second site)
-        ],
-        "diags: {diags:#?}"
-    );
-    let mixed = diags.iter().find(|d| d.line == 14).expect("mixed finding");
-    assert!(mixed.message.contains("mixed"), "message: {}", mixed.message);
-}
-
-#[test]
 fn r11_fixture_flags_unarmed_spawned_handlers_only() {
-    let diags = run_v3_fixture("r11_deadlines.rs", R11_ONLY);
+    let diags = run_fixture_with("r11_deadlines.rs", RuleSet::of(&["R11"]));
     assert_eq!(
         findings(&diags),
         vec![("R11", 14)], // serve_bad -> read_request before any arm
@@ -272,7 +260,7 @@ fn r11_fixture_flags_unarmed_spawned_handlers_only() {
 
 #[test]
 fn r12_fixture_flags_unclamped_flows_only() {
-    let diags = run_v3_fixture("r12_wire_bounds.rs", R12_ONLY);
+    let diags = run_fixture_with("r12_wire_bounds.rs", RuleSet::of(&["R12"]));
     assert_eq!(
         findings(&diags),
         vec![
@@ -286,7 +274,7 @@ fn r12_fixture_flags_unclamped_flows_only() {
 
 #[test]
 fn r12_fixture_carries_the_decode_to_allocation_path() {
-    let diags = run_v3_fixture("r12_wire_bounds.rs", R12_ONLY);
+    let diags = run_fixture_with("r12_wire_bounds.rs", RuleSet::of(&["R12"]));
     let d = diags.iter().find(|d| d.line == 16).expect("cross-function flow finding");
     assert!(
         d.path.first().expect("origin step").note.contains("wire"),
@@ -312,7 +300,7 @@ fn r12_fixture_carries_the_decode_to_allocation_path() {
 
 #[test]
 fn r13_fixture_flags_typestate_violations_only() {
-    let diags = run_v3_fixture("r13_typestate.rs", R13_ONLY);
+    let diags = run_fixture_with("r13_typestate.rs", RuleSet::of(&["R13"]));
     assert_eq!(
         findings(&diags),
         vec![
@@ -326,7 +314,7 @@ fn r13_fixture_flags_typestate_violations_only() {
 
 #[test]
 fn r13_fixture_handshake_finding_is_cross_function() {
-    let diags = run_v3_fixture("r13_typestate.rs", R13_ONLY);
+    let diags = run_fixture_with("r13_typestate.rs", RuleSet::of(&["R13"]));
     let d = diags.iter().find(|d| d.line == 9).expect("pre-handshake finding");
     assert!(
         d.path.iter().any(|s| s.note.contains("send_hello")),
@@ -341,31 +329,8 @@ fn r13_fixture_handshake_finding_is_cross_function() {
 }
 
 #[test]
-fn r14_fixture_flags_swallowed_and_missing_commands() {
-    // Two files: the enum declaration and the dispatchers, so the
-    // cross-file global-declaration fallback is what resolves variants.
-    let decl = "r14_commands.rs".to_string();
-    let disp = "r14_dispatch.rs".to_string();
-    let diags = check_files(&[
-        (decl.clone(), fixture_source(&decl), R14_ONLY),
-        (disp.clone(), fixture_source(&disp), R14_ONLY),
-    ]);
-    assert_eq!(
-        findings(&diags),
-        vec![
-            ("R14", 8),  // silent `_ => {}` with Info/Destroy unhandled
-            ("R14", 13), // no catch-all, Destroy missing
-        ],
-        "diags: {diags:#?}"
-    );
-    assert!(diags.iter().all(|d| d.file == disp), "diags: {diags:#?}");
-    let missing = diags.iter().find(|d| d.line == 13).expect("missing-variant finding");
-    assert!(missing.message.contains("Destroy"), "message: {}", missing.message);
-}
-
-#[test]
 fn r15_fixture_flags_leaks_only() {
-    let diags = run_v3_fixture("r15_leaks.rs", R15_ONLY);
+    let diags = run_fixture_with("r15_leaks.rs", RuleSet::of(&["R15"]));
     assert_eq!(
         findings(&diags),
         vec![
@@ -388,7 +353,7 @@ fn r15_drained_registrations_are_clean() {
     let src = "fn register_ok(set: &mut HandlerSet, conn: Conn) {\n    \
                set.spawn(\"conn\", conn);\n}\n\
                fn shutdown(set: &mut HandlerSet) {\n    set.drain();\n}\n";
-    let diags = check_files(&[("crates/core/src/x.rs".to_string(), src.to_string(), R15_ONLY)]);
+    let diags = check_files(&[("crates/core/src/x.rs".to_string(), src.to_string(), RuleSet::of(&["R15"]))]);
     assert!(diags.is_empty(), "drained crate should be clean: {diags:#?}");
 }
 

@@ -22,13 +22,12 @@ fn workspace_report_validates() {
 
 #[test]
 fn synthetic_report_with_taint_path_validates() {
-    let mut tainted = Diagnostic::new("crates/core/src/x.rs", 7, "R5", "leak".into());
-    tainted.path = vec![
+    let tainted = Diagnostic::new("crates/core/src/x.rs", 7, "R5", "leak".into()).with_path(vec![
         TaintStep { line: 3, note: "secret exposed".into() },
         TaintStep { line: 7, note: "reaches sink".into() },
-    ];
+    ]);
     let plain = Diagnostic::new("crates/gram/src/job.rs", 42, "R7", "held guard".into());
-    let doc = sarif::report(&[(tainted, false), (plain, true)]);
+    let doc = sarif::report(&[tainted, plain]);
     let errors = schema::validate(&doc, &checked_in_schema());
     assert!(errors.is_empty(), "schema violations: {errors:#?}");
 }
@@ -45,8 +44,7 @@ fn schema_actually_rejects_malformed_reports() {
             "ruleId": "R5",
             "level": "warning",
             "message": "x",
-            "location": {"file": "a.rs"},
-            "baselined": false
+            "location": {"file": "a.rs"}
         }]
     }"#;
     let doc = json::parse(text).expect("doc");

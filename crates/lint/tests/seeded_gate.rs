@@ -1,8 +1,8 @@
 //! End-to-end gate check: a scratch workspace seeded with one
-//! deliberate violation of each dataflow rule (plus a v1 rule for good
+//! deliberate violation of each dataflow rule (plus a token rule for good
 //! measure) must fail `gate_workspace`, attributing every finding to
 //! the right rule. This proves the walker, scoping, engine, and
-//! baseline plumbing work together — not just `check_source` in
+//! report plumbing work together — not just `check_source` in
 //! isolation.
 
 use mp_lint::gate_workspace;
@@ -58,8 +58,8 @@ fn seeded_ack_before_fsync_is_caught_with_a_call_path() {
     std::fs::remove_dir_all(&dir).expect("scratch teardown");
 
     assert!(!result.passed(), "seeded durability bug passed the gate");
-    let r9: Vec<_> = result.split.new.iter().filter(|d| d.rule == "R9").collect();
-    assert_eq!(r9.len(), 1, "findings: {:#?}", result.split.new);
+    let r9: Vec<_> = result.findings.iter().filter(|d| d.rule == "R9").collect();
+    assert_eq!(r9.len(), 1, "findings: {:#?}", result.findings);
     let d = r9[0];
     // Anchored at the ack site in `handle_store`, not inside the
     // helper that did the append.
@@ -97,7 +97,7 @@ fn seeded_ack_before_fsync_is_caught_with_a_call_path() {
     );
 }
 
-/// The v4 acceptance scenario: a wire-decoded length that crosses a
+/// The R12 acceptance scenario: a wire-decoded length that crosses a
 /// function boundary before feeding an allocation must be caught by
 /// R12, with the decode→bind→call→allocation path in the SARIF output.
 const SEEDED_FRAME: &str = r#"//! Seeded unclamped wire length: the length decoded in `frame_len`
@@ -126,8 +126,8 @@ fn seeded_unclamped_wire_length_is_caught_with_a_taint_path() {
     std::fs::remove_dir_all(&dir).expect("scratch teardown");
 
     assert!(!result.passed(), "seeded wire-bounds bug passed the gate");
-    let r12: Vec<_> = result.split.new.iter().filter(|d| d.rule == "R12").collect();
-    assert_eq!(r12.len(), 1, "findings: {:#?}", result.split.new);
+    let r12: Vec<_> = result.findings.iter().filter(|d| d.rule == "R12").collect();
+    assert_eq!(r12.len(), 1, "findings: {:#?}", result.findings);
     let d = r12[0];
     // Anchored at the allocation in `read_frame`, not the decode in
     // the helper.
@@ -183,26 +183,22 @@ fn seeded_violations_fail_the_gate() {
     assert!(!result.passed(), "seeded gate unexpectedly passed");
     let by_rule = |rule: &str| -> Vec<u32> {
         result
-            .split
-            .new
+            .findings
             .iter()
             .filter(|d| d.rule == rule)
             .map(|d| d.line)
             .collect()
     };
-    assert_eq!(by_rule("R5"), vec![5], "R5: {:#?}", result.split.new);
-    assert_eq!(by_rule("R6"), vec![9], "R6: {:#?}", result.split.new);
-    assert_eq!(by_rule("R7"), vec![14], "R7: {:#?}", result.split.new);
-    assert_eq!(by_rule("R1"), vec![14], "R1 unwrap: {:#?}", result.split.new);
+    assert_eq!(by_rule("R5"), vec![5], "R5: {:#?}", result.findings);
+    assert_eq!(by_rule("R6"), vec![9], "R6: {:#?}", result.findings);
+    assert_eq!(by_rule("R7"), vec![14], "R7: {:#?}", result.findings);
+    assert_eq!(by_rule("R1"), vec![14], "R1 unwrap: {:#?}", result.findings);
 
-    // Every finding also lands in the SARIF report, none baselined.
+    // Every finding also lands in the SARIF report.
     let results = result
         .sarif
         .get("results")
         .and_then(mp_lint::json::Value::as_arr)
         .expect("sarif results");
-    assert_eq!(results.len(), result.split.new.len());
-    assert!(results
-        .iter()
-        .all(|r| r.get("baselined").and_then(mp_lint::json::Value::as_bool) == Some(false)));
+    assert_eq!(results.len(), result.findings.len());
 }

@@ -1,4 +1,4 @@
-//! Property tests for the v4 typestate extractor
+//! Property tests for the fact walk as the summary engine sees it
 //! (`callgraph::local_events`): generated function bodies mixing plain
 //! statements, method-chain statements (`recv.inner()?.op(..)`), and
 //! closure bodies must yield exactly the planted effect transitions, in

@@ -1,11 +1,9 @@
-//! The gate: lint the entire workspace and fail on anything the
-//! committed baseline does not already track.
+//! The gate: lint the entire workspace and fail on any finding.
 //!
-//! This is the test CI runs (`cargo test -p mp-lint`). New findings
-//! must be fixed or waived with a reasoned
-//! `// lint:allow(<rule>) <why>` at the offending line; pre-existing
-//! findings live in `lint-baseline.txt` and stale entries there (for
-//! findings since fixed) fail too, so the baseline only ever shrinks.
+//! This is the test CI runs (`cargo test`). A finding must be fixed or
+//! waived with a reasoned `// lint:allow(<rule>) <why>` at the
+//! offending line, under the committed waiver budget — there is no
+//! other way to silence one.
 
 use mp_lint::{gate_workspace, workspace_root};
 
@@ -20,21 +18,16 @@ fn workspace_is_clean() {
     let result = gate_workspace(&root);
     if !result.passed() {
         let mut report = String::new();
-        for d in &result.split.new {
+        for d in &result.findings {
             report.push_str(&format!("  {d}\n"));
             for s in &d.path {
                 report.push_str(&format!("      taint: line {}: {}\n", s.line, s.note));
             }
         }
-        for s in &result.split.stale {
-            report.push_str(&format!("  stale baseline entry (fixed — delete it): {s}\n"));
-        }
         panic!(
-            "mp-lint gate failed — {} new finding(s), {} stale baseline entr(ies):\n{report}\
-             fix the code, annotate with `// lint:allow(<rule>) <reason>`, \
-             or prune lint-baseline.txt",
-            result.split.new.len(),
-            result.split.stale.len()
+            "mp-lint gate failed — {} finding(s):\n{report}\
+             fix the code or annotate with `// lint:allow(<rule>) <reason>`",
+            result.findings.len()
         );
     }
 }
@@ -42,8 +35,8 @@ fn workspace_is_clean() {
 #[test]
 fn waiver_count_matches_committed_budget() {
     let root = workspace_root();
-    let (total, per_file) = mp_lint::baseline::count_waivers(&root);
-    let budget = mp_lint::baseline::load_budget(&root)
+    let (total, per_file) = mp_lint::waivers::count_waivers(&root);
+    let budget = mp_lint::waivers::load_budget(&root)
         .expect("lint-waivers.budget missing from the workspace root");
     assert_eq!(
         total, budget,

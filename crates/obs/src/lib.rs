@@ -44,8 +44,12 @@
 //!
 //! Under that contract `Ordering::Relaxed` is sufficient for every
 //! operation, and using anything stronger would only suggest a
-//! guarantee this crate does not make. See `docs/OBSERVABILITY.md` for
-//! the metric catalog and naming convention.
+//! guarantee this crate does not make. [`RelaxedU64`] carries the
+//! contract as a type — its methods take no ordering — and every
+//! statistic cell in the workspace is one (the metrics here, the
+//! replication lag/heartbeat cells in `mp-myproxy`, the job id
+//! allocator in `mp-gram`). See `docs/OBSERVABILITY.md` for the metric
+//! catalog and naming convention.
 //!
 //! ## Secret hygiene
 //!
@@ -57,9 +61,11 @@
 mod expose;
 mod metrics;
 mod registry;
+mod relaxed;
 
 pub use expose::{parse, render, render_compact, ParseError};
 pub use metrics::{
     Counter, Gauge, HistTimer, Histogram, HistogramSnapshot, DEFAULT_BOUNDS,
 };
 pub use registry::{global, Registry, Snapshot, Span, TraceEvent};
+pub use relaxed::RelaxedU64;

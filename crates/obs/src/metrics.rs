@@ -1,10 +1,10 @@
 //! Metric primitives: counters, gauges, fixed-bucket histograms.
 //!
-//! All cells are `AtomicU64` touched with `Ordering::Relaxed` — the
-//! one documented ordering for the whole workspace's metrics (see the
-//! crate docs for why nothing stronger is warranted).
+//! All cells are [`RelaxedU64`] — the one documented ordering for the
+//! whole workspace's metrics, carried by the type (see the crate docs
+//! for why nothing stronger is warranted).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::relaxed::RelaxedU64;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -12,7 +12,7 @@ use std::time::Instant;
 /// cell, so a service struct and a registry can share one counter.
 #[derive(Clone, Default)]
 pub struct Counter {
-    cell: Arc<AtomicU64>,
+    cell: Arc<RelaxedU64>,
 }
 
 impl Counter {
@@ -23,24 +23,24 @@ impl Counter {
 
     /// Add one.
     pub fn inc(&self) {
-        self.cell.fetch_add(1, Ordering::Relaxed);
+        self.cell.fetch_add(1);
     }
 
     /// Add `n`.
     pub fn add(&self, n: u64) {
-        self.cell.fetch_add(n, Ordering::Relaxed);
+        self.cell.fetch_add(n);
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
+        self.cell.load()
     }
 }
 
 /// Up/down gauge (e.g. connections currently in flight).
 #[derive(Clone, Default)]
 pub struct Gauge {
-    cell: Arc<AtomicU64>,
+    cell: Arc<RelaxedU64>,
 }
 
 impl Gauge {
@@ -51,26 +51,24 @@ impl Gauge {
 
     /// Increment.
     pub fn inc(&self) {
-        self.cell.fetch_add(1, Ordering::Relaxed);
+        self.cell.fetch_add(1);
     }
 
     /// Decrement. Callers keep inc/dec balanced; a dec on a zero gauge
     /// saturates at zero rather than wrapping to 2^64-1 so a
     /// bookkeeping slip cannot masquerade as infinite load.
     pub fn dec(&self) {
-        let _ = self
-            .cell
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(v.saturating_sub(1)));
+        self.cell.saturating_dec();
     }
 
     /// Set to an absolute value.
     pub fn set(&self, v: u64) {
-        self.cell.store(v, Ordering::Relaxed);
+        self.cell.store(v);
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
+        self.cell.load()
     }
 }
 
@@ -101,10 +99,10 @@ struct HistogramCore {
     /// Bucket upper bounds (inclusive), ascending. `buckets` has one
     /// extra slot for samples above the last bound.
     bounds: Vec<u64>,
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
+    buckets: Vec<RelaxedU64>,
+    count: RelaxedU64,
+    sum: RelaxedU64,
+    max: RelaxedU64,
 }
 
 /// Fixed-bucket latency histogram; recording is one bucket `fetch_add`
@@ -132,15 +130,15 @@ impl Histogram {
         sorted.sort_unstable();
         sorted.dedup();
         let buckets = (0..sorted.len().saturating_add(1))
-            .map(|_| AtomicU64::new(0))
+            .map(|_| RelaxedU64::new(0))
             .collect();
         Histogram {
             core: Arc::new(HistogramCore {
                 bounds: sorted,
                 buckets,
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-                max: AtomicU64::new(0),
+                count: RelaxedU64::new(0),
+                sum: RelaxedU64::new(0),
+                max: RelaxedU64::new(0),
             }),
         }
     }
@@ -154,11 +152,11 @@ impl Histogram {
             .position(|b| value <= *b)
             .unwrap_or(c.bounds.len());
         if let Some(slot) = c.buckets.get(idx) {
-            slot.fetch_add(1, Ordering::Relaxed);
+            slot.fetch_add(1);
         }
-        c.count.fetch_add(1, Ordering::Relaxed);
-        c.sum.fetch_add(value, Ordering::Relaxed);
-        c.max.fetch_max(value, Ordering::Relaxed);
+        c.count.fetch_add(1);
+        c.sum.fetch_add(value);
+        c.max.fetch_max(value);
     }
 
     /// Record a wall-clock duration measured from `start` to now.
@@ -174,7 +172,7 @@ impl Histogram {
 
     /// Samples recorded so far.
     pub fn count(&self) -> u64 {
-        self.core.count.load(Ordering::Relaxed)
+        self.core.count.load()
     }
 
     /// Point-in-time copy of all cells. Per-metric only — see the crate
@@ -183,10 +181,10 @@ impl Histogram {
         let c = &self.core;
         HistogramSnapshot {
             bounds: c.bounds.clone(),
-            buckets: c.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-            count: c.count.load(Ordering::Relaxed),
-            sum: c.sum.load(Ordering::Relaxed),
-            max: c.max.load(Ordering::Relaxed),
+            buckets: c.buckets.iter().map(|b| b.load()).collect(),
+            count: c.count.load(),
+            sum: c.sum.load(),
+            max: c.max.load(),
         }
     }
 }
