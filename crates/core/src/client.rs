@@ -473,7 +473,7 @@ impl MyProxyClient {
         SecureChannel::connect(transport, cred, &self.channel_cfg, rng, now).map_err(busy_aware)
     }
 
-    fn transact<T: Transport>(
+    pub(crate) fn transact<T: Transport>(
         channel: &mut SecureChannel<T>,
         request: &Request,
     ) -> Result<Response> {
@@ -484,10 +484,7 @@ impl MyProxyClient {
             return Err(MyProxyError::Protocol(why));
         }
         channel.send(request.to_text().as_bytes())?;
-        let resp = channel.recv()?;
-        let resp = String::from_utf8(resp)
-            .map_err(|_| MyProxyError::Protocol("response not UTF-8".into()))?;
-        Response::from_text(&resp)?.into_result()
+        Self::read_response(channel)
     }
 
     fn read_response<T: Transport>(channel: &mut SecureChannel<T>) -> Result<Response> {

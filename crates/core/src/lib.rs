@@ -88,6 +88,12 @@ impl From<GsiError> for MyProxyError {
     }
 }
 
+impl From<mp_gsi::lines::FramingError> for MyProxyError {
+    fn from(e: mp_gsi::lines::FramingError) -> Self {
+        MyProxyError::Protocol(e.to_string())
+    }
+}
+
 impl std::fmt::Display for MyProxyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -16,6 +16,8 @@ use crate::store::{CredStore, StoredCredential};
 use crate::wal::{Vfs, JOURNAL_FILE};
 use crate::MyProxyError;
 use mp_crypto::base64;
+use mp_gsi::lines::{self, FramingError};
+use std::collections::BTreeMap;
 use std::path::Path;
 
 const MAGIC: &str = "MYPROXY-STORE-V1";
@@ -37,98 +39,61 @@ impl std::fmt::Display for CorruptEntry {
     }
 }
 
-/// Serialize one entry to the on-disk text format.
-pub fn entry_to_text(e: &StoredCredential) -> String {
-    let mut out = String::new();
-    out.push_str(MAGIC);
-    out.push('\n');
-    let mut kv = |k: &str, v: &str| {
-        debug_assert!(!v.contains('\n'));
-        out.push_str(k);
-        out.push('=');
-        out.push_str(v);
-        out.push('\n');
-    };
-    kv("username", &e.username);
-    kv("name", &e.name);
-    kv("owner", &e.owner_identity);
-    kv("retrieval_max_lifetime", &e.retrieval_max_lifetime.to_string());
-    kv("not_after", &e.not_after.to_string());
-    kv("created_at", &e.created_at.to_string());
-    kv("long_term", &e.long_term.to_string());
-    kv("tags", &crate::proto::render_tags(&e.tags));
+/// Serialize one entry to the on-disk text format (also the journal's
+/// Upsert payload). A field the line framing cannot carry — a newline
+/// in an owner DN, say — is a typed error: nothing is written.
+pub fn entry_to_text(e: &StoredCredential) -> Result<String, FramingError> {
+    let mut out = format!("{MAGIC}\n");
+    let mut kv = |k: &str, v: &str| lines::push(&mut out, k, v);
+    kv("username", &e.username)?;
+    kv("name", &e.name)?;
+    kv("owner", &e.owner_identity)?;
+    kv("retrieval_max_lifetime", &e.retrieval_max_lifetime.to_string())?;
+    kv("not_after", &e.not_after.to_string())?;
+    kv("created_at", &e.created_at.to_string())?;
+    kv("long_term", &e.long_term.to_string())?;
+    kv("tags", &crate::proto::render_tags(&e.tags))?;
     if let Some(r) = &e.renewable_by {
-        kv("renewable_by", r);
+        kv("renewable_by", r)?;
     }
-    kv("sealed", &base64::encode(&e.sealed));
+    kv("sealed", &base64::encode(&e.sealed))?;
     if let Some(s) = &e.sealed_for_renewal {
-        kv("sealed_for_renewal", &base64::encode(s));
+        kv("sealed_for_renewal", &base64::encode(s))?;
     }
-    out
+    Ok(out)
 }
 
 /// Parse one entry from the on-disk text format.
 pub fn entry_from_text(text: &str) -> Result<StoredCredential, MyProxyError> {
-    let mut lines = text.lines();
-    if lines.next() != Some(MAGIC) {
-        return Err(MyProxyError::Protocol("bad store file magic".into()));
+    let body = text
+        .strip_prefix(MAGIC)
+        .filter(|body| body.is_empty() || body.starts_with(['\n', '\r']))
+        .ok_or_else(|| MyProxyError::Protocol("bad store file magic".into()))?;
+    // Last occurrence of a key wins; unknown keys are ignored (forward
+    // compatibility).
+    let fields: BTreeMap<&str, &str> = lines::parse(body).collect::<Result<_, _>>()?;
+    fn parsed<N: std::str::FromStr>(fields: &BTreeMap<&str, &str>, k: &str) -> Option<N> {
+        fields.get(k)?.parse().ok()
     }
-    let mut username = None;
-    let mut name = None;
-    let mut owner = None;
-    let mut retrieval_max_lifetime = None;
-    let mut not_after = None;
-    let mut created_at = None;
-    let mut long_term = None;
-    let mut tags = Vec::new();
-    let mut renewable_by = None;
-    let mut sealed = None;
-    let mut sealed_for_renewal = None;
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let (k, v) = line
-            .split_once('=')
-            .ok_or_else(|| MyProxyError::Protocol("malformed store file line".into()))?;
-        match k {
-            "username" => username = Some(v.to_string()),
-            "name" => name = Some(v.to_string()),
-            "owner" => owner = Some(v.to_string()),
-            "retrieval_max_lifetime" => retrieval_max_lifetime = v.parse().ok(),
-            "not_after" => not_after = v.parse().ok(),
-            "created_at" => created_at = v.parse().ok(),
-            "long_term" => long_term = v.parse().ok(),
-            "tags" => tags = crate::proto::parse_tags(v),
-            "renewable_by" => renewable_by = Some(v.to_string()),
-            "sealed" => {
-                sealed = Some(
-                    base64::decode(v)
-                        .ok_or_else(|| MyProxyError::Protocol("bad sealed base64".into()))?,
-                )
-            }
-            "sealed_for_renewal" => {
-                sealed_for_renewal = Some(
-                    base64::decode(v)
-                        .ok_or_else(|| MyProxyError::Protocol("bad renewal base64".into()))?,
-                )
-            }
-            _ => {} // forward compatibility: ignore unknown keys
-        }
-    }
+    let text = |k: &str| fields.get(k).map(|v| v.to_string());
+    let blob = |k: &str, bad: &str| match fields.get(k) {
+        Some(v) => base64::decode(v).map(Some).ok_or_else(|| MyProxyError::Protocol(bad.into())),
+        None => Ok(None),
+    };
     let missing = |what: &'static str| MyProxyError::Protocol(format!("store file missing {what}"));
     Ok(StoredCredential {
-        username: username.ok_or_else(|| missing("username"))?,
-        name: name.ok_or_else(|| missing("name"))?,
-        owner_identity: owner.unwrap_or_default(),
-        sealed: sealed.ok_or_else(|| missing("sealed"))?,
-        retrieval_max_lifetime: retrieval_max_lifetime.ok_or_else(|| missing("lifetime"))?,
-        not_after: not_after.ok_or_else(|| missing("not_after"))?,
-        created_at: created_at.unwrap_or(0),
-        long_term: long_term.unwrap_or(false),
-        tags,
-        renewable_by,
-        sealed_for_renewal,
+        username: text("username").ok_or_else(|| missing("username"))?,
+        name: text("name").ok_or_else(|| missing("name"))?,
+        owner_identity: text("owner").unwrap_or_default(),
+        sealed: blob("sealed", "bad sealed base64")?.ok_or_else(|| missing("sealed"))?,
+        retrieval_max_lifetime: parsed(&fields, "retrieval_max_lifetime")
+            .ok_or_else(|| missing("lifetime"))?,
+        not_after: parsed(&fields, "not_after").ok_or_else(|| missing("not_after"))?,
+        created_at: parsed(&fields, "created_at").unwrap_or(0),
+        long_term: parsed(&fields, "long_term").unwrap_or(false),
+        tags: fields.get("tags").map(|v| crate::proto::parse_tags(v)).unwrap_or_default(),
+        renewable_by: text("renewable_by"),
+        sealed_for_renewal: blob("sealed_for_renewal", "bad renewal base64")?,
     })
 }
 
@@ -158,7 +123,7 @@ impl CredStore {
             let filename = entry_filename(&e.username, &e.name);
             expected.insert(filename.clone());
             let tmp = dir.join(format!("{filename}.tmp"));
-            vfs.write_file(&tmp, entry_to_text(&e).as_bytes())?;
+            vfs.write_file(&tmp, entry_to_text(&e).map_err(std::io::Error::other)?.as_bytes())?;
             vfs.sync_file(&tmp)?;
             vfs.rename(&tmp, &dir.join(&filename))?;
             dirty = true;
@@ -193,7 +158,7 @@ impl CredStore {
         for e in self.shard_entries(shard) {
             let filename = entry_filename(&e.username, &e.name);
             let tmp = dir.join(format!("{filename}.tmp"));
-            vfs.write_file(&tmp, entry_to_text(&e).as_bytes())?;
+            vfs.write_file(&tmp, entry_to_text(&e).map_err(std::io::Error::other)?.as_bytes())?;
             vfs.sync_file(&tmp)?;
             vfs.rename(&tmp, &dir.join(&filename))?;
         }
@@ -283,12 +248,38 @@ mod tests {
             .unwrap();
         store.set_owner("alice", DEFAULT_NAME, "/O=Grid/CN=alice").unwrap();
         let entry = store.peek("alice", DEFAULT_NAME).unwrap();
-        let text = entry_to_text(&entry);
+        let text = entry_to_text(&entry).unwrap();
         let back = entry_from_text(&text).unwrap();
         assert_eq!(back.username, "alice");
         assert_eq!(back.owner_identity, "/O=Grid/CN=alice");
         assert_eq!(back.sealed, entry.sealed);
         assert_eq!(back.tags, entry.tags);
+    }
+
+    #[test]
+    fn a_field_that_would_inject_a_line_is_refused_before_disk_and_journal() {
+        use crate::wal::{encode_payload, WalRecord};
+        let store = CredStore::new(10);
+        let mut rng = test_drbg("persist inject");
+        store
+            .put("alice", DEFAULT_NAME, "pass!", &credential(), 7200, 100, false, vec![], &mut rng)
+            .unwrap();
+        let mut entry = store.peek("alice", DEFAULT_NAME).unwrap();
+        let evil = "/O=Grid/CN=mallory\nrenewable_by=*";
+        entry.owner_identity = evil.into();
+        assert!(entry_to_text(&entry).is_err());
+        assert!(encode_payload(&WalRecord::Upsert(entry)).is_err());
+        // The delta records carry the same strings to the same lines.
+        let (username, name) = ("alice".to_string(), DEFAULT_NAME.to_string());
+        let set_owner = WalRecord::SetOwner { username: username.clone(), name: name.clone(), owner: evil.into() };
+        assert!(encode_payload(&set_owner).is_err());
+        let set_renewable = WalRecord::SetRenewable { username, name, pattern: evil.into(), sealed: vec![] };
+        assert!(encode_payload(&set_renewable).is_err());
+        // A snapshot of a store that holds such a string fails as a
+        // whole rather than writing the extra line.
+        store.set_owner("alice", DEFAULT_NAME, evil).unwrap(); // memory-only: no journal to refuse it
+        let dir = tmpdir("inject");
+        assert!(store.save_snapshot(&dir, &RealVfs).is_err());
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use crate::MyProxyError;
 use mp_crypto::Secret;
+use mp_gsi::lines;
 use std::collections::BTreeMap;
 
 /// Protocol version string.
@@ -103,35 +104,19 @@ impl Request {
         Request { command, fields: BTreeMap::new() }
     }
 
-    /// Shared insert path for [`field`](Self::field) and
-    /// [`secret_field`](Self::secret_field). Framing violations are
-    /// not panics: they surface as a typed error from
-    /// [`framing_violation`](Self::framing_violation) at the send
-    /// chokepoint, so a pass phrase with an embedded newline cannot
-    /// abort the client.
-    fn insert_checked(&mut self, key: &str, value: &str) {
-        self.fields.insert(key.to_string(), value.to_string());
-    }
-
-    /// The line-oriented wire text cannot carry embedded newlines, and
-    /// keys must not contain `=`. Checked once, right before the
-    /// request is serialized, so builder chains stay infallible while
-    /// the send path returns a typed error instead of panicking.
+    /// Why this request cannot be sent, if it cannot: the line codec
+    /// refuses a newline in a key or value and `=` in a key. Builder
+    /// chains stay infallible; the send chokepoint asks here and
+    /// returns a typed error instead of panicking, so a pass phrase
+    /// with an embedded newline cannot abort the client or smuggle a
+    /// line.
     pub fn framing_violation(&self) -> Option<String> {
-        for (k, v) in &self.fields {
-            if k.contains('\n') || v.contains('\n') {
-                return Some(format!("field {k} contains a newline and cannot be framed"));
-            }
-            if k.contains('=') {
-                return Some(format!("field key {k} contains '=' and cannot be framed"));
-            }
-        }
-        None
+        self.fields.iter().find_map(|(k, v)| lines::check(k, v).err()).map(|e| e.to_string())
     }
 
     /// Add a field.
     pub fn field(mut self, key: &str, value: &str) -> Self {
-        self.insert_checked(key, value);
+        self.fields.insert(key.to_string(), value.to_string());
         self
     }
 
@@ -143,7 +128,7 @@ impl Request {
     /// from it — keeps every caller's builder chain untainted, so
     /// request constructors need no per-site R5 waivers.
     pub fn secret_field(mut self, key: &str, value: &Secret<String>) -> Self {
-        self.insert_checked(key, value.expose());
+        self.fields.insert(key.to_string(), value.expose().to_string());
         self
     }
 
@@ -168,47 +153,46 @@ impl Request {
         }
     }
 
-    /// Serialize to the wire text.
+    /// Serialize to the wire text. A request that
+    /// [cannot be framed](Self::framing_violation) renders as the empty
+    /// block, which every parser refuses.
     pub fn to_text(&self) -> String {
-        let mut out = format!("VERSION={VERSION}\nCOMMAND={}\n", self.command as u32);
-        for (k, v) in &self.fields {
-            out.push_str(k);
-            out.push('=');
-            out.push_str(v);
-            out.push('\n');
-        }
-        out
+        let command = (self.command as u32).to_string();
+        let header = [("VERSION", VERSION), ("COMMAND", command.as_str())];
+        let fields = self.fields.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+        lines::render(header.into_iter().chain(fields)).unwrap_or_default()
     }
 
     /// Parse from wire text.
     pub fn from_text(text: &str) -> Result<Self, MyProxyError> {
-        let mut lines = text.lines();
-        let version = lines
-            .next()
-            .ok_or_else(|| MyProxyError::Protocol("empty request".into()))?;
-        if version != format!("VERSION={VERSION}") {
-            return Err(MyProxyError::Protocol("unsupported protocol version".into()));
+        let mut pairs = lines::parse(text);
+        expect_version(pairs.next(), "request")?;
+        let cmd_num: u32 = match pairs.next() {
+            None => return Err(MyProxyError::Protocol("missing COMMAND".into())),
+            Some(Ok(("COMMAND", n))) => n.parse().ok(),
+            Some(_) => None,
         }
-        let cmd_line = lines
-            .next()
-            .ok_or_else(|| MyProxyError::Protocol("missing COMMAND".into()))?;
-        let cmd_num: u32 = cmd_line
-            .strip_prefix("COMMAND=")
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| MyProxyError::Protocol("malformed COMMAND".into()))?;
+        .ok_or_else(|| MyProxyError::Protocol("malformed COMMAND".into()))?;
         let command = Command::from_u32(cmd_num)
             .ok_or_else(|| MyProxyError::Protocol(format!("unknown command {cmd_num}")))?;
         let mut fields = BTreeMap::new();
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let (k, v) = line
-                .split_once('=')
-                .ok_or_else(|| MyProxyError::Protocol("malformed field line".into()))?;
+        for pair in pairs {
+            let (k, v) = pair?;
             fields.insert(k.to_string(), v.to_string());
         }
         Ok(Request { command, fields })
+    }
+}
+
+/// Both message kinds open with the `VERSION=MYPROXYv2` line.
+fn expect_version(
+    first: Option<Result<(&str, &str), lines::FramingError>>,
+    what: &str,
+) -> Result<(), MyProxyError> {
+    match first {
+        None => Err(MyProxyError::Protocol(format!("empty {what}"))),
+        Some(Ok(("VERSION", VERSION))) => Ok(()),
+        Some(_) => Err(MyProxyError::Protocol("unsupported protocol version".into())),
     }
 }
 
@@ -264,19 +248,10 @@ impl Response {
         Response { ok: false, error: Some(reason.into()), fields: Vec::new() }
     }
 
-    /// Attach a field. A key or value that would break the
-    /// line-oriented framing (embedded newline) turns the whole
-    /// response into a protocol error instead of panicking: the peer
-    /// sees an explicit failure, the connection thread survives, and
-    /// the bug is still loud in every test that round-trips the
-    /// response.
+    /// Attach a field. Infallible like every builder here; a key or
+    /// value that breaks the line framing is caught when the response
+    /// is rendered (see [`to_text`](Self::to_text)).
     pub fn with_field(mut self, key: &str, value: &str) -> Self {
-        if key.contains('\n') || value.contains('\n') {
-            return Response::error(format!(
-                "internal error: response field {} cannot be framed",
-                key.lines().next().unwrap_or_default()
-            ));
-        }
         self.fields.push((key.to_string(), value.to_string()));
         self
     }
@@ -290,49 +265,35 @@ impl Response {
             .collect()
     }
 
-    /// Serialize to wire text.
+    /// Serialize to wire text. A response that cannot be framed (a
+    /// newline in the error text or a field) is sent as an explicit
+    /// protocol error instead: the peer sees a failure, the connection
+    /// thread survives, no extra line is smuggled onto the wire, and
+    /// the bug is loud in every test that round-trips the response.
     pub fn to_text(&self) -> String {
-        let mut out = format!("VERSION={VERSION}\nRESPONSE={}\n", if self.ok { 0 } else { 1 });
-        if let Some(err) = &self.error {
-            out.push_str("ERROR=");
-            out.push_str(err);
-            out.push('\n');
-        }
-        for (k, v) in &self.fields {
-            out.push_str(k);
-            out.push('=');
-            out.push_str(v);
-            out.push('\n');
-        }
-        out
+        let header = [("VERSION", VERSION), ("RESPONSE", if self.ok { "0" } else { "1" })];
+        let error = self.error.as_deref().map(|e| ("ERROR", e));
+        let fields = self.fields.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+        lines::render(header.into_iter().chain(error).chain(fields)).unwrap_or_else(|e| {
+            // `e` is a single line by construction, so this recursion ends.
+            Response::error(format!("internal error: response cannot be framed: {e}")).to_text()
+        })
     }
 
     /// Parse from wire text.
     pub fn from_text(text: &str) -> Result<Self, MyProxyError> {
-        let mut lines = text.lines();
-        let version = lines
-            .next()
-            .ok_or_else(|| MyProxyError::Protocol("empty response".into()))?;
-        if version != format!("VERSION={VERSION}") {
-            return Err(MyProxyError::Protocol("unsupported protocol version".into()));
-        }
-        let resp_line = lines
-            .next()
-            .ok_or_else(|| MyProxyError::Protocol("missing RESPONSE".into()))?;
-        let ok = match resp_line.strip_prefix("RESPONSE=") {
-            Some("0") => true,
-            Some("1") => false,
-            _ => return Err(MyProxyError::Protocol("malformed RESPONSE".into())),
+        let mut pairs = lines::parse(text);
+        expect_version(pairs.next(), "response")?;
+        let ok = match pairs.next() {
+            None => return Err(MyProxyError::Protocol("missing RESPONSE".into())),
+            Some(Ok(("RESPONSE", "0"))) => true,
+            Some(Ok(("RESPONSE", "1"))) => false,
+            Some(_) => return Err(MyProxyError::Protocol("malformed RESPONSE".into())),
         };
         let mut error = None;
         let mut fields = Vec::new();
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let (k, v) = line
-                .split_once('=')
-                .ok_or_else(|| MyProxyError::Protocol("malformed field line".into()))?;
+        for pair in pairs {
+            let (k, v) = pair?;
             if k == "ERROR" {
                 error = Some(v.to_string());
             } else {

@@ -38,7 +38,7 @@
 
 use crate::proto::{Command, Request, Response};
 use crate::server::MyProxyServer;
-use crate::wal::{encode_frame, encode_payload, CommitSink, Vfs, WalRecord};
+use crate::wal::{encode_frame, encode_payload, take_u32, take_u64, CommitSink, Vfs, WalRecord};
 use crate::MyProxyError;
 use mp_gsi::transport::Connector;
 use mp_gsi::{GsiError, SecureChannel};
@@ -153,19 +153,16 @@ impl EpochStore {
             return Ok(0);
         }
         let raw = crate::wal::read_file(self.vfs.as_ref(), &path)?;
-        let bytes: [u8; 12] = raw
-            .as_slice()
-            .try_into()
-            .map_err(|_| io::Error::other("repl.epoch has the wrong length"))?;
-        let (val, crc) = bytes.split_at(8);
-        let epoch_bytes: [u8; 8] =
-            val.try_into().map_err(|_| io::Error::other("repl.epoch split failed"))?;
-        let crc_bytes: [u8; 4] =
-            crc.try_into().map_err(|_| io::Error::other("repl.epoch split failed"))?;
-        if crate::wal::crc32(val) != u32::from_le_bytes(crc_bytes) {
+        let mut rest = raw.as_slice();
+        let (Some(epoch), Some(crc), true) =
+            (take_u64(&mut rest), take_u32(&mut rest), rest.is_empty())
+        else {
+            return Err(io::Error::other("repl.epoch has the wrong length"));
+        };
+        if crate::wal::crc32(&epoch.to_le_bytes()) != crc {
             return Err(io::Error::other("repl.epoch checksum mismatch"));
         }
-        Ok(u64::from_le_bytes(epoch_bytes))
+        Ok(epoch)
     }
 
     /// Durably persist `epoch` (atomic replace).
@@ -235,33 +232,17 @@ pub(crate) fn encode_msg(msg: &ReplMsg) -> Vec<u8> {
     out
 }
 
-fn split_u32(buf: &mut &[u8]) -> Option<u32> {
-    let (head, rest) = buf.split_at_checked(4)?;
-    *buf = rest;
-    Some(u32::from_le_bytes(head.try_into().ok()?))
-}
-
-fn split_u64(buf: &mut &[u8]) -> Option<u64> {
-    let (head, rest) = buf.split_at_checked(8)?;
-    *buf = rest;
-    Some(u64::from_le_bytes(head.try_into().ok()?))
-}
-
 /// Decode and CRC-check one message; `None` on any malformation.
 pub(crate) fn decode_msg(raw: &[u8]) -> Option<ReplMsg> {
-    if raw.len() < 29 {
-        return None;
-    }
-    let (body, crc_bytes) = raw.split_at_checked(raw.len() - 4)?;
-    let crc = u32::from_le_bytes(crc_bytes.try_into().ok()?);
-    if crate::wal::crc32(body) != crc {
+    let (body, mut crc) = raw.split_at_checked(raw.len().checked_sub(4)?)?;
+    if crate::wal::crc32(body) != take_u32(&mut crc)? {
         return None;
     }
     let (&tag, mut rest) = body.split_first()?;
-    let epoch = split_u64(&mut rest)?;
-    let shard = split_u32(&mut rest)?;
-    let seq = split_u64(&mut rest)?;
-    let len = split_u32(&mut rest)? as usize;
+    let epoch = take_u64(&mut rest)?;
+    let shard = take_u32(&mut rest)?;
+    let seq = take_u64(&mut rest)?;
+    let len = take_u32(&mut rest)? as usize;
     if rest.len() != len {
         return None;
     }
@@ -737,11 +718,7 @@ impl Shipper {
             .field("EPOCH", &epoch.to_string())
             .field("SHARDS", &shards.to_string())
             .field("STREAM", &log.stream_id().to_string());
-        channel.send(req.to_text().as_bytes())?;
-        let resp_raw = channel.recv()?;
-        let resp_text = String::from_utf8(resp_raw)
-            .map_err(|_| MyProxyError::Protocol("replication response not UTF-8".into()))?;
-        let resp = Response::from_text(&resp_text)?.into_result()?;
+        let resp = crate::MyProxyClient::transact(&mut channel, &req)?;
         let mut acked = parse_seq_fields(&resp, shards);
 
         for si in 0..shards {
@@ -840,7 +817,7 @@ impl Shipper {
         let entries = self.server.store().shard_entries(shard);
         let mut payload = Vec::new();
         for e in entries {
-            let frame = encode_frame(&encode_payload(&WalRecord::Upsert(e)))
+            let frame = encode_frame(&encode_payload(&WalRecord::Upsert(e))?)
                 .map_err(|e| MyProxyError::Gsi(GsiError::Io(e)))?;
             payload.extend_from_slice(&frame);
         }

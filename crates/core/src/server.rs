@@ -423,10 +423,7 @@ impl MyProxyServer {
         let request = match Request::from_text(&req_text) {
             Ok(r) => r,
             Err(e) => {
-                if channel
-                    .send(Response::error(format!("{e}")).to_text().as_bytes())
-                    .is_err()
-                {
+                if respond(channel, &Response::error(format!("{e}"))).is_err() {
                     self.state.stats.send_failures.inc();
                 }
                 return Err(e);
@@ -438,10 +435,7 @@ impl MyProxyServer {
             self.state.stats.denials.inc();
             // Best-effort error response; the channel may already be gone,
             // in which case the failure is still visible in the counters.
-            if channel
-                .send(Response::error(format!("{e}")).to_text().as_bytes())
-                .is_err()
-            {
+            if respond(channel, &Response::error(format!("{e}"))).is_err() {
                 self.state.stats.send_failures.inc();
             }
         }
@@ -496,6 +490,11 @@ impl MyProxyServer {
                 peer.identity
             )));
         }
+        // The identity becomes the entry's `owner=` line; a DN may hold
+        // any UTF-8, so one the line framing cannot carry is refused
+        // here, before the delegation and the first journal frame.
+        let owner = peer.identity.to_string();
+        mp_gsi::lines::check("owner", &owner)?;
         let username = request.require(field::USERNAME)?.to_string();
         let passphrase = request.require(field::PASSPHRASE)?.to_string();
         st.policy
@@ -512,7 +511,7 @@ impl MyProxyServer {
         let renewer = request.get("RENEWER").map(str::to_string);
 
         // Tell the client to proceed with the credential transfer.
-        channel.send(Response::success().to_text().as_bytes())?;
+        respond(channel, &Response::success())?;
 
         let now = st.clock.now();
         let credential = if long_term {
@@ -556,7 +555,7 @@ impl MyProxyServer {
             tags,
             rng,
         )?;
-        st.store.set_owner(&username, &name, &peer.identity.to_string())?;
+        st.store.set_owner(&username, &name, &owner)?;
         if let Some(pattern) = renewer {
             let mut entropy = [0u8; 32];
             rng.generate(&mut entropy);
@@ -572,12 +571,7 @@ impl MyProxyServer {
             .map(|c| c.not_after())
             .min()
             .unwrap_or(0);
-        channel.send(
-            Response::success()
-                .with_field("NOT_AFTER", &not_after.to_string())
-                .to_text()
-                .as_bytes(),
-        )?;
+        respond(channel, &Response::success().with_field("NOT_AFTER", &not_after.to_string()))?;
         Ok(())
     }
 
@@ -648,12 +642,7 @@ impl MyProxyServer {
             None => ProxyPolicy::InheritAll,
         };
 
-        channel.send(
-            Response::success()
-                .with_field("LIFETIME", &granted.to_string())
-                .to_text()
-                .as_bytes(),
-        )?;
+        respond(channel, &Response::success().with_field("LIFETIME", &granted.to_string()))?;
 
         // Figure 2: "the repository will in turn delegate a proxy
         // credential back to the user or service."
@@ -688,7 +677,7 @@ impl MyProxyServer {
             return Err(MyProxyError::Refused("OTP_COUNT out of range".into()));
         }
         st.otp.setup(&username, anchor, count as u32);
-        channel.send(Response::success().to_text().as_bytes())?;
+        respond(channel, &Response::success())?;
         Ok(())
     }
 
@@ -741,7 +730,7 @@ impl MyProxyServer {
                 resp = resp.with_field("METRIC", &line);
             }
         }
-        channel.send(resp.to_text().as_bytes())?;
+        respond(channel, &resp)?;
         Ok(())
     }
 
@@ -756,7 +745,7 @@ impl MyProxyServer {
         let passphrase = request.require(field::PASSPHRASE)?;
         let name = request.get(field::CRED_NAME).unwrap_or(DEFAULT_NAME);
         st.store.destroy(&username, name, passphrase)?;
-        channel.send(Response::success().to_text().as_bytes())?;
+        respond(channel, &Response::success())?;
         Ok(())
     }
 
@@ -776,7 +765,7 @@ impl MyProxyServer {
             .map_err(|e| MyProxyError::Refused(e.to_string()))?;
         let name = request.get(field::CRED_NAME).unwrap_or(DEFAULT_NAME);
         st.store.change_passphrase(&username, name, old, new, rng)?;
-        channel.send(Response::success().to_text().as_bytes())?;
+        respond(channel, &Response::success())?;
         Ok(())
     }
 
@@ -820,12 +809,7 @@ impl MyProxyServer {
         // Challenge: prove possession of the user's current proxy.
         let mut nonce = [0u8; 32];
         rng.generate(&mut nonce);
-        channel.send(
-            Response::success()
-                .with_field("NONCE", &mp_crypto::hex(&nonce))
-                .to_text()
-                .as_bytes(),
-        )?;
+        respond(channel, &Response::success().with_field("NONCE", &mp_crypto::hex(&nonce)))?;
 
         let proof = channel.recv()?;
         let mut r = WireReader::new(&proof);
@@ -851,7 +835,7 @@ impl MyProxyServer {
         }
         // Acknowledge the proof before the delegation sub-protocol so
         // refusals up to this point reach the client as plain responses.
-        channel.send(Response::success().to_text().as_bytes())?;
+        respond(channel, &Response::success())?;
         let granted = entry
             .retrieval_max_lifetime
             .min(st.policy.max_delegated_lifetime_secs);
@@ -885,13 +869,10 @@ impl MyProxyServer {
             .promote()
             .map_err(|e| MyProxyError::Refused(format!("promotion failed: {e}")))?;
         let (role, _) = st.repl.status();
-        channel.send(
-            Response::success()
-                .with_field("ROLE", role.as_str())
-                .with_field("EPOCH", &epoch.to_string())
-                .to_text()
-                .as_bytes(),
-        )?;
+        let status = Response::success()
+            .with_field("ROLE", role.as_str())
+            .with_field("EPOCH", &epoch.to_string());
+        respond(channel, &status)?;
         Ok(())
     }
 
@@ -954,7 +935,7 @@ impl MyProxyServer {
                 resp = resp.with_field("SEQ", &format!("{si}:{seq}"));
             }
         }
-        channel.send(resp.to_text().as_bytes())?;
+        respond(channel, &resp)?;
 
         loop {
             let raw = channel.recv()?;
@@ -1161,6 +1142,13 @@ impl MyProxyService {
     pub fn logging(server: &MyProxyServer) -> Arc<Self> {
         Arc::new(MyProxyService { server: server.clone(), log: true })
     }
+}
+
+/// The one point a response leaves the server: rendered by the line
+/// codec (an unframeable one goes out as an explicit protocol error,
+/// see [`Response::to_text`]) and sent as one record.
+fn respond<T: Transport>(channel: &mut SecureChannel<T>, response: &Response) -> crate::Result<()> {
+    Ok(channel.send(response.to_text().as_bytes())?)
 }
 
 /// Commands that change the credential store (a standby refuses

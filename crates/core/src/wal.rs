@@ -51,6 +51,7 @@
 use crate::persist::CorruptEntry;
 use crate::store::{shard_index, CredStore, EntryKey, StoredCredential};
 use crate::MyProxyError;
+use mp_gsi::lines::{self, FramingError};
 use mp_obs::{Counter, Histogram, Registry};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -566,8 +567,7 @@ pub(crate) fn crc32(data: &[u8]) -> u32 {
 }
 
 fn push_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+    push_bytes(out, s.as_bytes());
 }
 
 fn push_bytes(out: &mut Vec<u8>, b: &[u8]) {
@@ -581,20 +581,18 @@ fn take<'a>(buf: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
     Some(head)
 }
 
-fn take_u32(buf: &mut &[u8]) -> Option<u32> {
+pub(crate) fn take_u32(buf: &mut &[u8]) -> Option<u32> {
     let bytes: [u8; 4] = take(buf, 4)?.try_into().ok()?;
     Some(u32::from_le_bytes(bytes))
 }
 
-fn take_u64(buf: &mut &[u8]) -> Option<u64> {
+pub(crate) fn take_u64(buf: &mut &[u8]) -> Option<u64> {
     let bytes: [u8; 8] = take(buf, 8)?.try_into().ok()?;
     Some(u64::from_le_bytes(bytes))
 }
 
 fn take_str(buf: &mut &[u8]) -> Option<String> {
-    let len = take_u32(buf)? as usize;
-    let raw = take(buf, len)?;
-    String::from_utf8(raw.to_vec()).ok()
+    String::from_utf8(take_bytes(buf)?).ok()
 }
 
 fn take_bytes(buf: &mut &[u8]) -> Option<Vec<u8>> {
@@ -602,12 +600,17 @@ fn take_bytes(buf: &mut &[u8]) -> Option<Vec<u8>> {
     Some(take(buf, len)?.to_vec())
 }
 
-pub(crate) fn encode_payload(rec: &WalRecord) -> Vec<u8> {
+/// The journal payload for `rec`. Strings that the next fold will
+/// write as store-file lines (a whole entry, an owner, a renewer
+/// pattern) must satisfy the line framing *here*, before the record is
+/// durable: refused now, a newline costs one request; accepted, it
+/// would wedge every later fold and snapshot of the shard.
+pub(crate) fn encode_payload(rec: &WalRecord) -> Result<Vec<u8>, FramingError> {
     let mut out = Vec::new();
     match rec {
         WalRecord::Upsert(e) => {
             out.push(TAG_UPSERT);
-            out.extend_from_slice(crate::persist::entry_to_text(e).as_bytes());
+            out.extend_from_slice(crate::persist::entry_to_text(e)?.as_bytes());
         }
         WalRecord::Remove { username, name } => {
             out.push(TAG_REMOVE);
@@ -615,12 +618,14 @@ pub(crate) fn encode_payload(rec: &WalRecord) -> Vec<u8> {
             push_str(&mut out, name);
         }
         WalRecord::SetOwner { username, name, owner } => {
+            lines::check("owner", owner)?;
             out.push(TAG_SET_OWNER);
             push_str(&mut out, username);
             push_str(&mut out, name);
             push_str(&mut out, owner);
         }
         WalRecord::SetRenewable { username, name, pattern, sealed } => {
+            lines::check("renewable_by", pattern)?;
             out.push(TAG_SET_RENEWABLE);
             push_str(&mut out, username);
             push_str(&mut out, name);
@@ -645,74 +650,49 @@ pub(crate) fn encode_payload(rec: &WalRecord) -> Vec<u8> {
             }
         }
     }
-    out
+    Ok(out)
 }
 
 pub(crate) fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
     let (&tag, mut rest) = payload.split_first()?;
-    match tag {
+    let rest = &mut rest;
+    let rec = match tag {
         TAG_UPSERT => {
-            let text = std::str::from_utf8(rest).ok()?;
-            let entry = crate::persist::entry_from_text(text).ok()?;
-            Some(WalRecord::Upsert(entry))
+            let text = std::str::from_utf8(std::mem::take(rest)).ok()?;
+            WalRecord::Upsert(crate::persist::entry_from_text(text).ok()?)
         }
-        TAG_REMOVE => {
-            let username = take_str(&mut rest)?;
-            let name = take_str(&mut rest)?;
-            if rest.is_empty() {
-                Some(WalRecord::Remove { username, name })
-            } else {
-                None
-            }
-        }
-        TAG_SET_OWNER => {
-            let username = take_str(&mut rest)?;
-            let name = take_str(&mut rest)?;
-            let owner = take_str(&mut rest)?;
-            if rest.is_empty() {
-                Some(WalRecord::SetOwner { username, name, owner })
-            } else {
-                None
-            }
-        }
-        TAG_SET_RENEWABLE => {
-            let username = take_str(&mut rest)?;
-            let name = take_str(&mut rest)?;
-            let pattern = take_str(&mut rest)?;
-            let sealed = take_bytes(&mut rest)?;
-            if rest.is_empty() {
-                Some(WalRecord::SetRenewable { username, name, pattern, sealed })
-            } else {
-                None
-            }
-        }
-        TAG_RESEAL => {
-            let username = take_str(&mut rest)?;
-            let name = take_str(&mut rest)?;
-            let expect = take_bytes(&mut rest)?;
-            let sealed = take_bytes(&mut rest)?;
-            if rest.is_empty() {
-                Some(WalRecord::Reseal { username, name, expect, sealed })
-            } else {
-                None
-            }
-        }
+        TAG_REMOVE => WalRecord::Remove { username: take_str(rest)?, name: take_str(rest)? },
+        TAG_SET_OWNER => WalRecord::SetOwner {
+            username: take_str(rest)?,
+            name: take_str(rest)?,
+            owner: take_str(rest)?,
+        },
+        TAG_SET_RENEWABLE => WalRecord::SetRenewable {
+            username: take_str(rest)?,
+            name: take_str(rest)?,
+            pattern: take_str(rest)?,
+            sealed: take_bytes(rest)?,
+        },
+        TAG_RESEAL => WalRecord::Reseal {
+            username: take_str(rest)?,
+            name: take_str(rest)?,
+            expect: take_bytes(rest)?,
+            sealed: take_bytes(rest)?,
+        },
         TAG_PURGE => {
-            let now = take_u64(&mut rest)?;
-            if rest.is_empty() {
-                // Legacy global purge.
-                return Some(WalRecord::Purge { now, shard: 0, of: 0 });
+            let now = take_u64(rest)?;
+            // Legacy global purges end here; the scoped form appends
+            // its shard coordinates, with a non-zero modulus.
+            let scoped = !rest.is_empty();
+            let (shard, of) = if scoped { (take_u32(rest)?, take_u32(rest)?) } else { (0, 0) };
+            if scoped && of == 0 {
+                return None;
             }
-            let shard = take_u32(&mut rest)?;
-            let of = take_u32(&mut rest)?;
-            if rest.is_empty() && of > 0 {
-                Some(WalRecord::Purge { now, shard, of })
-            } else {
-                None
-            }
+            WalRecord::Purge { now, shard, of }
         }
-        _ => None,
-    }
+        _ => return None,
+    };
+    rest.is_empty().then_some(rec)
 }
 
 /// `[u32 payload-len][u32 crc32(payload)][payload]`, all little-endian.
@@ -1211,7 +1191,7 @@ impl Wal {
         }
         let mut frames = Vec::with_capacity(recs.len());
         for rec in &recs {
-            frames.push(encode_frame(&encode_payload(rec)).map_err(wal_error)?);
+            frames.push(encode_frame(&encode_payload(rec)?).map_err(wal_error)?);
         }
         if self.cfg.group_commit {
             self.commit_grouped(store, si, recs, frames)
@@ -1640,7 +1620,7 @@ mod tests {
         ];
         let mut raw = Vec::new();
         for rec in &records {
-            raw.extend_from_slice(&encode_frame(&encode_payload(rec)).unwrap());
+            raw.extend_from_slice(&encode_frame(&encode_payload(rec).unwrap()).unwrap());
         }
         let (parsed, good, torn) = parse_journal(&raw);
         assert_eq!(parsed.len(), records.len());
@@ -1686,9 +1666,9 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated_not_fatal() {
         let rec = WalRecord::Purge { now: 7, shard: 0, of: 0 };
-        let mut raw = encode_frame(&encode_payload(&rec)).unwrap();
+        let mut raw = encode_frame(&encode_payload(&rec).unwrap()).unwrap();
         let clean = raw.len();
-        let mut second = encode_frame(&encode_payload(&rec)).unwrap();
+        let mut second = encode_frame(&encode_payload(&rec).unwrap()).unwrap();
         second.truncate(second.len() - 3); // torn mid-payload
         raw.extend_from_slice(&second);
         let (parsed, good, torn) = parse_journal(&raw);
@@ -1700,8 +1680,8 @@ mod tests {
     #[test]
     fn corrupt_crc_stops_replay_at_prefix() {
         let rec = WalRecord::Purge { now: 7, shard: 0, of: 0 };
-        let mut raw = encode_frame(&encode_payload(&rec)).unwrap();
-        let mut bad = encode_frame(&encode_payload(&rec)).unwrap();
+        let mut raw = encode_frame(&encode_payload(&rec).unwrap()).unwrap();
+        let mut bad = encode_frame(&encode_payload(&rec).unwrap()).unwrap();
         let last = bad.len() - 1;
         bad[last] ^= 0xFF; // payload bit-flip: CRC mismatch
         raw.extend_from_slice(&bad);
@@ -1928,10 +1908,10 @@ mod tests {
             .unwrap();
         let mut raw = Vec::new();
         for e in seed.all_entries() {
-            raw.extend_from_slice(&encode_frame(&encode_payload(&WalRecord::Upsert(e))).unwrap());
+            raw.extend_from_slice(&encode_frame(&encode_payload(&WalRecord::Upsert(e)).unwrap()).unwrap());
         }
         raw.extend_from_slice(
-            &encode_frame(&encode_payload(&WalRecord::Purge { now: 1, shard: 0, of: 0 })).unwrap(),
+            &encode_frame(&encode_payload(&WalRecord::Purge { now: 1, shard: 0, of: 0 }).unwrap()).unwrap(),
         );
         vfs.create_dir_all(Path::new("/store")).unwrap();
         vfs.append(Path::new("/store/journal.wal"), &raw).unwrap();

@@ -12,6 +12,9 @@ use std::sync::Arc;
 
 struct World {
     alice: Credential,
+    /// CA-issued like alice, but the CN holds a newline followed by
+    /// what would parse as a store-file line.
+    mallory: Credential,
     server: MyProxyServer,
     client: MyProxyClient,
     clock: SimClock,
@@ -34,6 +37,7 @@ fn world() -> World {
         Credential::new(vec![cert], key.clone()).unwrap()
     };
     let alice = mk(&mut ca, 1, "/O=Grid/CN=alice");
+    let mallory = mk(&mut ca, 3, "/O=Grid/CN=mallory\nrenewable_by=*");
     let server_cred = mk(&mut ca, 2, "/O=Grid/CN=myproxy");
     let roots = vec![ca.certificate().clone()];
     let server = MyProxyServer::new(
@@ -44,7 +48,7 @@ fn world() -> World {
         HmacDrbg::new(b"otp errors server"),
     );
     let client = MyProxyClient::new(roots.clone(), None);
-    World { alice, server, client, clock, roots }
+    World { alice, mallory, server, client, clock, roots }
 }
 
 fn seeded() -> World {
@@ -193,4 +197,50 @@ fn destroy_unknown_name_uniform_error() {
         .unwrap_err();
     let MyProxyError::Refused(msg) = err else { panic!("expected Refused") };
     assert!(msg.contains("authentication failed"), "uniform error, no oracle: {msg}");
+}
+
+/// `Dn::decode` accepts any UTF-8 and `Dn`'s `Display` does not escape,
+/// so a validated identity can hold a newline. It becomes the entry's
+/// `owner=` line in the store file and in the journal's Upsert payload;
+/// unguarded, the rest of the DN lands there as a line of its own. The
+/// line codec refuses it, and the PUT is refused before anything —
+/// delegation, journal frame, `.cred` file — happens.
+#[test]
+fn put_from_an_identity_holding_a_newline_is_refused_and_writes_nothing() {
+    use mp_gsi::net::NetConfig;
+    use mp_myproxy::wal::{CrashVfs, WalConfig};
+
+    let w = world();
+    let vfs = Arc::new(CrashVfs::new());
+    w.server
+        .enable_durability_with(
+            std::path::Path::new("/store"),
+            vfs.clone(),
+            WalConfig { compact_every: 1, ..WalConfig::default() },
+        )
+        .unwrap();
+    // One worker: if the refusal killed it, nothing after would be served.
+    let (push, pool) = w.server.serve_local(NetConfig { workers: 1, ..NetConfig::default() }).unwrap();
+    let dial = || {
+        let (client, server) = mp_gsi::duplex();
+        push.push(Box::new(server)).unwrap();
+        client
+    };
+    let written_before = vfs.mutations();
+
+    let mut rng = test_drbg("newline identity");
+    let put = |cred: &Credential, user: &str, rng: &mut HmacDrbg| {
+        w.client.init(dial(), cred, &InitParams::new(user, "good pass phrase"), rng, w.clock.now())
+    };
+    let err = put(&w.mallory, "mallory", &mut rng).unwrap_err();
+    let MyProxyError::Refused(why) = err else { panic!("expected a typed refusal, got {err}") };
+    assert!(why.contains("owner") && why.contains("cannot be framed"), "{why}");
+    assert_eq!(vfs.mutations(), written_before, "no journal frame, no .cred file");
+    assert!(w.server.store().is_empty());
+
+    // The same worker serves the next, honest PUT.
+    put(&w.alice, "alice", &mut rng).unwrap();
+    assert!(vfs.mutations() > written_before);
+    assert_eq!(w.server.store().len(), 1);
+    assert!(pool.shutdown().drained);
 }

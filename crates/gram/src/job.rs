@@ -181,7 +181,7 @@ impl JobManager {
 
         let Some(local_user) = st.gridmap.lookup(&peer.identity) else {
             let resp = Kv::new().set("STATUS", "DENIED").set("REASON", "no gridmap entry");
-            channel.send(resp.to_text().as_bytes())?;
+            channel.send(resp.to_text()?.as_bytes())?;
             return Err(GramError::Denied(format!("{} not in gridmap", peer.identity)));
         };
         let local_user = local_user.to_string();
@@ -192,7 +192,7 @@ impl JobManager {
                     let resp = Kv::new()
                         .set("STATUS", "DENIED")
                         .set("REASON", "restricted proxy policy forbids job submission");
-                    channel.send(resp.to_text().as_bytes())?;
+                    channel.send(resp.to_text()?.as_bytes())?;
                     return Err(GramError::Denied("restricted proxy policy".into()));
                 }
                 let name = req.require("NAME")?.to_string();
@@ -202,7 +202,7 @@ impl JobManager {
 
                 let proxy = if wants_delegation {
                     let resp = Kv::new().set("STATUS", "SEND_DELEGATION");
-                    channel.send(resp.to_text().as_bytes())?;
+                    channel.send(resp.to_text()?.as_bytes())?;
                     Some(accept_delegation(channel, u64::MAX, 512, rng)?)
                 } else {
                     None
@@ -222,7 +222,7 @@ impl JobManager {
                 };
                 st.jobs.write().insert(id, job);
                 let resp = Kv::new().set("STATUS", "OK").set("JOB", &id.to_string());
-                channel.send(resp.to_text().as_bytes())?;
+                channel.send(resp.to_text()?.as_bytes())?;
             }
             "STATUS" => {
                 let id = req.get_u64("JOB", 0)?;
@@ -242,11 +242,11 @@ impl JobManager {
                             .set("STATE", &state)
                             .set("DONE", &job.done_ticks.to_string())
                             .set("TOTAL", &job.total_ticks.to_string());
-                        channel.send(resp.to_text().as_bytes())?;
+                        channel.send(resp.to_text()?.as_bytes())?;
                     }
                     _ => {
                         let resp = Kv::new().set("STATUS", "NOTFOUND");
-                        channel.send(resp.to_text().as_bytes())?;
+                        channel.send(resp.to_text()?.as_bytes())?;
                         return Err(GramError::NotFound(format!("job {id}")));
                     }
                 }
@@ -266,15 +266,15 @@ impl JobManager {
                     }
                 };
                 if cancelled {
-                    channel.send(Kv::new().set("STATUS", "OK").to_text().as_bytes())?;
+                    channel.send(Kv::new().set("STATUS", "OK").to_text()?.as_bytes())?;
                 } else {
-                    channel.send(Kv::new().set("STATUS", "NOTFOUND").to_text().as_bytes())?;
+                    channel.send(Kv::new().set("STATUS", "NOTFOUND").to_text()?.as_bytes())?;
                     return Err(GramError::NotFound(format!("job {id}")));
                 }
             }
             other => {
                 let resp = Kv::new().set("STATUS", "ERROR").set("REASON", "unknown command");
-                channel.send(resp.to_text().as_bytes())?;
+                channel.send(resp.to_text()?.as_bytes())?;
                 return Err(GramError::Protocol(format!("unknown command {other}")));
             }
         }
@@ -492,7 +492,7 @@ pub mod client {
         if delegate_proxy {
             req = req.set("DELEGATE", "1");
         }
-        channel.send(req.to_text().as_bytes())?;
+        channel.send(req.to_text()?.as_bytes())?;
         let resp = Kv::from_bytes(&channel.recv()?)?;
         if delegate_proxy {
             if resp.require("STATUS")? != "SEND_DELEGATION" {
@@ -523,7 +523,7 @@ pub mod client {
     ) -> Result<(String, u64, u64)> {
         let mut channel = SecureChannel::connect(transport, cred, cfg, rng, now)?;
         let req = Kv::new().set("COMMAND", "STATUS").set("JOB", &job.to_string());
-        channel.send(req.to_text().as_bytes())?;
+        channel.send(req.to_text()?.as_bytes())?;
         let resp = Kv::from_bytes(&channel.recv()?)?;
         if resp.require("STATUS")? != "OK" {
             return Err(GramError::NotFound(format!("job {job}")));
@@ -546,7 +546,7 @@ pub mod client {
     ) -> Result<()> {
         let mut channel = SecureChannel::connect(transport, cred, cfg, rng, now)?;
         let req = Kv::new().set("COMMAND", "CANCEL").set("JOB", &job.to_string());
-        channel.send(req.to_text().as_bytes())?;
+        channel.send(req.to_text()?.as_bytes())?;
         let resp = Kv::from_bytes(&channel.recv()?)?;
         if resp.require("STATUS")? != "OK" {
             return Err(GramError::NotFound(format!("job {job}")));

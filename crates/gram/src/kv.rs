@@ -1,8 +1,8 @@
-//! Minimal `KEY=VALUE` line codec shared by the job-manager and storage
-//! wire protocols (the same shape as the MyProxy protocol, without the
-//! version header).
+//! The `KEY=VALUE` message of the job-manager and storage protocols:
+//! the MyProxy line block (`mp_gsi::lines`) without the version header.
 
 use crate::GramError;
+use mp_gsi::lines;
 use std::collections::BTreeMap;
 
 /// An ordered key/value message.
@@ -17,9 +17,8 @@ impl Kv {
         Self::default()
     }
 
-    /// Add a field (panics on newline injection — caller bug).
+    /// Add a field. Infallible; `to_text` refuses what cannot be framed.
     pub fn set(mut self, key: &str, value: &str) -> Self {
-        assert!(!key.contains('\n') && !value.contains('\n') && !key.contains('='));
         self.fields.insert(key.to_string(), value.to_string());
         self
     }
@@ -31,45 +30,28 @@ impl Kv {
 
     /// Required field.
     pub fn require(&self, key: &str) -> Result<&str, GramError> {
-        self.get(key)
-            .ok_or_else(|| GramError::Protocol(format!("missing field {key}")))
+        self.get(key).ok_or_else(|| GramError::Protocol(format!("missing field {key}")))
     }
 
     /// u64 field with default.
     pub fn get_u64(&self, key: &str, default: u64) -> Result<u64, GramError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| GramError::Protocol(format!("field {key} not numeric"))),
-        }
+        let Some(v) = self.get(key) else { return Ok(default) };
+        v.parse().map_err(|_| GramError::Protocol(format!("field {key} not numeric")))
     }
 
-    /// Serialize.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for (k, v) in &self.fields {
-            out.push_str(k);
-            out.push('=');
-            out.push_str(v);
-            out.push('\n');
-        }
-        out
+    /// Serialize, or say which field cannot be framed.
+    pub fn to_text(&self) -> Result<String, GramError> {
+        lines::render(&self.fields).map_err(|e| GramError::Protocol(e.to_string()))
     }
 
     /// Parse.
     pub fn from_text(text: &str) -> Result<Self, GramError> {
-        let mut fields = BTreeMap::new();
-        for line in text.lines() {
-            if line.is_empty() {
-                continue;
-            }
-            let (k, v) = line
-                .split_once('=')
-                .ok_or_else(|| GramError::Protocol("malformed line".into()))?;
-            fields.insert(k.to_string(), v.to_string());
+        let mut kv = Kv::new();
+        for pair in lines::parse(text) {
+            let (k, v) = pair.map_err(|e| GramError::Protocol(e.to_string()))?;
+            kv = kv.set(k, v);
         }
-        Ok(Kv { fields })
+        Ok(kv)
     }
 
     /// Parse from channel bytes.
@@ -87,7 +69,7 @@ mod tests {
     #[test]
     fn roundtrip() {
         let kv = Kv::new().set("COMMAND", "SUBMIT").set("TICKS", "5");
-        let back = Kv::from_text(&kv.to_text()).unwrap();
+        let back = Kv::from_text(&kv.to_text().unwrap()).unwrap();
         assert_eq!(back, kv);
         assert_eq!(back.require("COMMAND").unwrap(), "SUBMIT");
         assert_eq!(back.get_u64("TICKS", 0).unwrap(), 5);
@@ -101,5 +83,9 @@ mod tests {
         assert!(kv.require("X").is_err());
         let kv = Kv::new().set("N", "abc");
         assert!(kv.get_u64("N", 0).is_err());
+        // A value that would inject a line is a typed error at render
+        // time, not a panic in the pool worker that built it.
+        let kv = Kv::new().set("OUTPUT", "x\nSTATUS=OK");
+        assert!(matches!(kv.to_text(), Err(GramError::Protocol(_))));
     }
 }

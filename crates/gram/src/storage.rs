@@ -144,7 +144,7 @@ impl MassStorage {
 
         let Some(local_user) = st.gridmap.lookup(&peer.identity) else {
             let resp = Kv::new().set("STATUS", "DENIED").set("REASON", "no gridmap entry");
-            channel.send(resp.to_text().as_bytes())?;
+            channel.send(resp.to_text()?.as_bytes())?;
             return Err(GramError::Denied(format!("{} not in gridmap", peer.identity)));
         };
         let local_user = local_user.to_string();
@@ -158,7 +158,7 @@ impl MassStorage {
             "FETCH" | "LIST" => "read",
             _ => {
                 let resp = Kv::new().set("STATUS", "ERROR").set("REASON", "unknown command");
-                channel.send(resp.to_text().as_bytes())?;
+                channel.send(resp.to_text()?.as_bytes())?;
                 return Err(GramError::Protocol(format!("unknown command {command}")));
             }
         };
@@ -166,7 +166,7 @@ impl MassStorage {
             let resp = Kv::new()
                 .set("STATUS", "DENIED")
                 .set("REASON", "restricted proxy policy forbids this operation");
-            channel.send(resp.to_text().as_bytes())?;
+            channel.send(resp.to_text()?.as_bytes())?;
             return Err(GramError::Denied("restricted proxy policy".into()));
         }
 
@@ -174,13 +174,13 @@ impl MassStorage {
             "STORE" => {
                 let filename = req.require("FILENAME")?.to_string();
                 let resp = Kv::new().set("STATUS", "SEND");
-                channel.send(resp.to_text().as_bytes())?;
+                channel.send(resp.to_text()?.as_bytes())?;
                 let data = channel.recv()?;
                 st.files.write().insert(
                     (local_user.clone(), filename),
                     StoredFile { owner: local_user, data, stored_at: now },
                 );
-                channel.send(Kv::new().set("STATUS", "OK").to_text().as_bytes())?;
+                channel.send(Kv::new().set("STATUS", "OK").to_text()?.as_bytes())?;
             }
             "FETCH" => {
                 let filename = req.require("FILENAME")?;
@@ -191,12 +191,12 @@ impl MassStorage {
                     .cloned();
                 match file {
                     Some(f) => {
-                        channel.send(Kv::new().set("STATUS", "OK").to_text().as_bytes())?;
+                        channel.send(Kv::new().set("STATUS", "OK").to_text()?.as_bytes())?;
                         channel.send(&f.data)?;
                     }
                     None => {
                         let resp = Kv::new().set("STATUS", "NOTFOUND");
-                        channel.send(resp.to_text().as_bytes())?;
+                        channel.send(resp.to_text()?.as_bytes())?;
                         return Err(GramError::NotFound(filename.to_string()));
                     }
                 }
@@ -212,7 +212,7 @@ impl MassStorage {
                 let mut sorted = names;
                 sorted.sort();
                 let resp = Kv::new().set("STATUS", "OK").set("FILES", &sorted.join(","));
-                channel.send(resp.to_text().as_bytes())?;
+                channel.send(resp.to_text()?.as_bytes())?;
             }
             _ => unreachable!(),
         }
@@ -308,7 +308,7 @@ pub mod client {
     ) -> Result<()> {
         let mut channel = SecureChannel::connect(transport, cred, cfg, rng, now)?;
         let req = Kv::new().set("COMMAND", "STORE").set("FILENAME", filename);
-        channel.send(req.to_text().as_bytes())?;
+        channel.send(req.to_text()?.as_bytes())?;
         let resp = Kv::from_bytes(&channel.recv()?)?;
         expect_status(&resp, "SEND")?;
         channel.send(data)?;
@@ -327,7 +327,7 @@ pub mod client {
     ) -> Result<Vec<u8>> {
         let mut channel = SecureChannel::connect(transport, cred, cfg, rng, now)?;
         let req = Kv::new().set("COMMAND", "FETCH").set("FILENAME", filename);
-        channel.send(req.to_text().as_bytes())?;
+        channel.send(req.to_text()?.as_bytes())?;
         let resp = Kv::from_bytes(&channel.recv()?)?;
         expect_status(&resp, "OK")?;
         Ok(channel.recv()?)
@@ -342,7 +342,7 @@ pub mod client {
         now: u64,
     ) -> Result<Vec<String>> {
         let mut channel = SecureChannel::connect(transport, cred, cfg, rng, now)?;
-        channel.send(Kv::new().set("COMMAND", "LIST").to_text().as_bytes())?;
+        channel.send(Kv::new().set("COMMAND", "LIST").to_text()?.as_bytes())?;
         let resp = Kv::from_bytes(&channel.recv()?)?;
         expect_status(&resp, "OK")?;
         Ok(resp

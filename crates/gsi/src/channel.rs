@@ -22,6 +22,14 @@
 //! possession); server authentication is by *decryption* (only the
 //! certified key can recover the premaster and produce a valid
 //! Finished MAC).
+//!
+//! This is the only handshake in the repository, in two forms that
+//! differ in one thing: [`SecureChannel`] (every Grid daemon) has the
+//! KeyExchange carry the client chain and signature; on a
+//! [`ServerAuthChannel`] both are empty — the shape of 2001-era HTTPS
+//! (§5.2), for a browser that has no Grid credential (§3.2). The form
+//! is fixed by the type an endpoint calls, not by a [`ChannelConfig`]
+//! value, and each `accept` refuses the other form.
 
 use crate::credential::{chain_from_der, Credential};
 use crate::record::{read_frame, write_frame, DirectionKeys, SealedRecords};
@@ -29,6 +37,7 @@ use crate::transport::Transport;
 use crate::wire::{WireReader, WireWriter};
 use crate::{GsiError, Result};
 use mp_crypto::hmac::HmacSha256;
+use mp_crypto::rsa::RsaPrivateKey;
 use mp_crypto::{ct_eq, Sha256};
 use mp_obs::Span;
 use mp_x509::{validate_chain, Certificate, CertRevocationList, Dn, ValidatedChain, ValidationOptions};
@@ -44,16 +53,21 @@ const MSG_FINISHED_CLIENT: u8 = 5;
 /// "server busy" error rather than a hang or an opaque disconnect.
 const MSG_BUSY: u8 = 6;
 
+/// Start a handshake message: its type byte, fields to follow.
+fn message(msg_type: u8) -> WireWriter {
+    let mut msg = WireWriter::new();
+    msg.u8(msg_type);
+    msg
+}
+
 /// Server-side load shed: answer a just-accepted connection's
 /// ClientHello with a BUSY frame carrying `reason`. No key material is
 /// involved — this happens before any handshake state exists.
 pub fn send_busy<T: Transport>(transport: &mut T, reason: &str) -> Result<()> {
     let _hello = read_frame(transport)?; // consume the ClientHello
-    let mut busy = WireWriter::new();
-    busy.u8(MSG_BUSY);
+    let mut busy = message(MSG_BUSY);
     busy.bytes(reason.as_bytes());
-    write_frame(transport, &busy.into_bytes())?;
-    Ok(())
+    write_frame(transport, &busy.into_bytes())
 }
 
 /// How a channel endpoint validates its peer.
@@ -100,12 +114,22 @@ impl ChannelConfig {
     }
 }
 
-/// An established, mutually-authenticated channel.
-pub struct SecureChannel<T: Transport> {
+/// An established channel. `P` is what this end knows about the other
+/// one: a [`ValidatedChain`] on a [`SecureChannel`], nothing on a
+/// [`ServerAuthChannel`] — which therefore has no `peer()`.
+pub struct Channel<T: Transport, P> {
     transport: T,
     records: SealedRecords,
-    peer: ValidatedChain,
+    peer: P,
 }
+
+/// An established, mutually-authenticated channel.
+pub type SecureChannel<T> = Channel<T, ValidatedChain>;
+
+/// An established channel on which only the server authenticated: the
+/// client validated the server's chain and the server proved its key,
+/// the client proved nothing.
+pub type ServerAuthChannel<T> = Channel<T, ()>;
 
 struct KeySchedule {
     client: DirectionKeys,
@@ -135,6 +159,29 @@ fn finished_mac(master: &[u8; 32], label: &[u8], transcript: &[u8; 32]) -> [u8; 
     mac.finalize()
 }
 
+fn send_finished<T: Transport>(transport: &mut T, msg_type: u8, mac: &[u8; 32]) -> Result<()> {
+    let mut fin = message(msg_type);
+    fin.bytes(mac);
+    write_frame(transport, &fin.into_bytes())
+}
+
+fn recv_finished<T: Transport>(
+    transport: &mut T,
+    msg_type: u8,
+    expect: &[u8; 32],
+    mismatch: &'static str,
+) -> Result<()> {
+    let fin = read_frame(transport)?;
+    let mut r = WireReader::new(expect_msg(&fin, msg_type)?);
+    let their_mac = r.bytes()?;
+    r.finish()?;
+    if ct_eq(their_mac, expect) {
+        Ok(())
+    } else {
+        Err(GsiError::Crypto(mismatch))
+    }
+}
+
 fn expect_msg(payload: &[u8], expected: u8) -> Result<&[u8]> {
     match payload.split_first() {
         Some((&t, rest)) if t == expected => Ok(rest),
@@ -145,11 +192,16 @@ fn expect_msg(payload: &[u8], expected: u8) -> Result<&[u8]> {
     }
 }
 
+fn read_random(r: &mut WireReader) -> Result<[u8; 32]> {
+    r.bytes()?.try_into().map_err(|_| GsiError::Protocol("bad hello random".into()))
+}
+
 fn validate_peer(
     chain_der: &[Vec<u8>],
     config: &ChannelConfig,
     now: u64,
 ) -> Result<(ValidatedChain, Vec<Certificate>)> {
+    let _span = Span::enter("gsi.handshake.validate");
     let chain = chain_from_der(chain_der)?;
     let validated = validate_chain(&chain, &config.trust_roots, now, &config.validation_options())?;
     if let Some(expected) = &config.expected_peer {
@@ -163,215 +215,181 @@ fn validate_peer(
     Ok((validated, chain))
 }
 
-impl<T: Transport> SecureChannel<T> {
-    /// Client side of the handshake.
-    pub fn connect<R: Rng + ?Sized>(
-        mut transport: T,
-        cred: &Credential,
-        config: &ChannelConfig,
-        rng: &mut R,
-        now: u64,
-    ) -> Result<Self> {
-        // Records into `gsi.handshake.client` on every exit — success
-        // or error — so refused/aborted handshakes still show up.
-        let _span = Span::enter("gsi.handshake.client");
-        let mut transcript = Sha256::new();
-
-        // -> ClientHello
-        let mut random_c = [0u8; 32];
-        rng.fill(&mut random_c);
-        let mut hello = WireWriter::new();
-        hello.u8(MSG_CLIENT_HELLO);
-        hello.bytes(&random_c);
-        let hello = hello.into_bytes();
-        transcript.update(&hello);
-        write_frame(&mut transport, &hello)?;
-
-        // <- ServerHello (or a pre-handshake BUSY refusal)
-        let server_hello = read_frame(&mut transport)?;
-        if let Some((&MSG_BUSY, rest)) = server_hello.split_first() {
-            let mut r = WireReader::new(rest);
-            let reason = String::from_utf8_lossy(r.bytes()?).into_owned();
-            return Err(GsiError::Denied(format!("server busy: {reason}")));
-        }
-        transcript.update(&server_hello);
-        let body = expect_msg(&server_hello, MSG_SERVER_HELLO)?;
-        let mut r = WireReader::new(body);
-        let random_s: [u8; 32] = r
-            .bytes()?
-            .try_into()
-            .map_err(|_| GsiError::Protocol("bad server random".into()))?;
-        let server_chain_der = r.byte_list()?;
-        r.finish()?;
-        let (server_validated, server_chain) = {
-            let _v = Span::enter("gsi.handshake.validate");
-            validate_peer(&server_chain_der, config, now)?
-        };
-
-        // -> KeyExchange
-        let kex_span = Span::enter("gsi.handshake.kex");
-        let mut premaster = [0u8; 48];
-        rng.fill(&mut premaster);
-        let server_leaf = server_chain
-            .first()
-            .ok_or_else(|| GsiError::Protocol("empty server certificate chain".into()))?;
-        let enc_premaster = server_leaf
-            .public_key()
-            .encrypt(rng, &premaster)
-            .map_err(|_| GsiError::Crypto("premaster encryption failed"))?;
-        let client_chain_der = cred.chain_der();
-
-        // Sign the transcript up to (and including) this message's fields.
-        let mut to_sign = transcript.clone();
-        for der in &client_chain_der {
-            to_sign.update(der);
-        }
-        to_sign.update(&enc_premaster);
-        let digest = to_sign.finalize();
-        let signature = cred
-            .key()
-            .sign(&digest)
-            .map_err(|_| GsiError::Crypto("transcript signing failed"))?;
-        drop(kex_span); // premaster made+encrypted, transcript signed
-
-        let mut kx = WireWriter::new();
-        kx.u8(MSG_KEY_EXCHANGE);
-        kx.byte_list(&client_chain_der);
-        kx.bytes(&enc_premaster);
-        kx.bytes(&signature);
-        let kx = kx.into_bytes();
-        transcript.update(&kx);
-        write_frame(&mut transport, &kx)?;
-
-        let keys = derive_keys(&premaster, &random_c, &random_s);
-        let transcript_hash = transcript.finalize();
-
-        // <- Finished (server)
-        let fin_s = read_frame(&mut transport)?;
-        let body = expect_msg(&fin_s, MSG_FINISHED_SERVER)?;
-        let mut r = WireReader::new(body);
-        let their_mac = r.bytes()?;
-        r.finish()?;
-        let expect = finished_mac(&keys.master, b"server finished", &transcript_hash);
-        if !ct_eq(their_mac, &expect) {
-            return Err(GsiError::Crypto("server Finished MAC mismatch"));
-        }
-
-        // -> Finished (client)
-        let mine = finished_mac(&keys.master, b"client finished", &transcript_hash);
-        let mut fin_c = WireWriter::new();
-        fin_c.u8(MSG_FINISHED_CLIENT);
-        fin_c.bytes(&mine);
-        write_frame(&mut transport, &fin_c.into_bytes())?;
-
-        Ok(SecureChannel {
-            transport,
-            records: SealedRecords::new(keys.client, keys.server, true),
-            peer: server_validated,
-        })
+/// What the KeyExchange's chain and signature fields are bound to: the
+/// transcript so far, the chain itself and the encrypted premaster.
+fn signed_digest(transcript: &Sha256, chain_der: &[Vec<u8>], enc_premaster: &[u8]) -> [u8; 32] {
+    let mut to_sign = transcript.clone();
+    for der in chain_der {
+        to_sign.update(der);
     }
+    to_sign.update(enc_premaster);
+    to_sign.finalize()
+}
 
-    /// Server side of the handshake.
-    pub fn accept<R: Rng + ?Sized>(
-        mut transport: T,
-        cred: &Credential,
-        config: &ChannelConfig,
-        rng: &mut R,
-        now: u64,
-    ) -> Result<Self> {
-        // Records into `gsi.handshake.server` on every exit path.
-        let _span = Span::enter("gsi.handshake.server");
-        let mut transcript = Sha256::new();
+/// Client side of the handshake, both forms: with `cred` the
+/// KeyExchange carries its chain and a transcript signature, without
+/// it both fields are empty. The channel's peer is the validated
+/// *server* chain.
+fn client_handshake<T: Transport, R: Rng + ?Sized>(
+    mut transport: T,
+    cred: Option<&Credential>,
+    config: &ChannelConfig,
+    rng: &mut R,
+    now: u64,
+) -> Result<SecureChannel<T>> {
+    // Records into `gsi.handshake.client` on every exit — success
+    // or error — so refused/aborted handshakes still show up.
+    let _span = Span::enter("gsi.handshake.client");
+    let mut transcript = Sha256::new();
 
-        // <- ClientHello
-        let hello = read_frame(&mut transport)?;
-        transcript.update(&hello);
-        let body = expect_msg(&hello, MSG_CLIENT_HELLO)?;
-        let mut r = WireReader::new(body);
-        let random_c: [u8; 32] = r
-            .bytes()?
-            .try_into()
-            .map_err(|_| GsiError::Protocol("bad client random".into()))?;
-        r.finish()?;
+    // -> ClientHello
+    let mut random_c = [0u8; 32];
+    rng.fill(&mut random_c);
+    let mut hello = message(MSG_CLIENT_HELLO);
+    hello.bytes(&random_c);
+    let hello = hello.into_bytes();
+    transcript.update(&hello);
+    write_frame(&mut transport, &hello)?;
 
-        // -> ServerHello
-        let mut random_s = [0u8; 32];
-        rng.fill(&mut random_s);
-        let mut sh = WireWriter::new();
-        sh.u8(MSG_SERVER_HELLO);
-        sh.bytes(&random_s);
-        sh.byte_list(&cred.chain_der());
-        let sh = sh.into_bytes();
-        transcript.update(&sh);
-        write_frame(&mut transport, &sh)?;
+    // <- ServerHello (or a pre-handshake BUSY refusal)
+    let server_hello = read_frame(&mut transport)?;
+    if let Some((&MSG_BUSY, rest)) = server_hello.split_first() {
+        let reason = String::from_utf8_lossy(WireReader::new(rest).bytes()?).into_owned();
+        return Err(GsiError::Denied(format!("server busy: {reason}")));
+    }
+    transcript.update(&server_hello);
+    let mut r = WireReader::new(expect_msg(&server_hello, MSG_SERVER_HELLO)?);
+    let random_s = read_random(&mut r)?;
+    let server_chain_der = r.byte_list()?;
+    r.finish()?;
+    let (server_validated, server_chain) = validate_peer(&server_chain_der, config, now)?;
 
-        // <- KeyExchange
-        let kx = read_frame(&mut transport)?;
-        let body = expect_msg(&kx, MSG_KEY_EXCHANGE)?;
-        let mut r = WireReader::new(body);
-        let client_chain_der = r.byte_list()?;
-        let enc_premaster = r.bytes()?.to_vec();
-        let signature = r.bytes()?.to_vec();
-        r.finish()?;
+    // -> KeyExchange
+    let kex_span = Span::enter("gsi.handshake.kex");
+    let mut premaster = [0u8; 48];
+    rng.fill(&mut premaster);
+    let server_leaf = server_chain
+        .first()
+        .ok_or_else(|| GsiError::Protocol("empty server certificate chain".into()))?;
+    let enc_premaster = server_leaf
+        .public_key()
+        .encrypt(rng, &premaster)
+        .map_err(|_| GsiError::Crypto("premaster encryption failed"))?;
+    // The client's proof: its chain, and a signature over the
+    // transcript up to (and including) this message's fields.
+    let client_chain_der = cred.map(Credential::chain_der).unwrap_or_default();
+    let signature = match cred {
+        Some(cred) => cred
+            .key()
+            .sign(&signed_digest(&transcript, &client_chain_der, &enc_premaster))
+            .map_err(|_| GsiError::Crypto("transcript signing failed"))?,
+        None => Vec::new(),
+    };
+    drop(kex_span); // premaster made+encrypted, transcript signed
 
-        let (client_validated, _client_chain) = {
-            let _v = Span::enter("gsi.handshake.validate");
-            validate_peer(&client_chain_der, config, now)?
-        };
+    let mut kx = message(MSG_KEY_EXCHANGE);
+    kx.byte_list(&client_chain_der);
+    kx.bytes(&enc_premaster);
+    kx.bytes(&signature);
+    let kx = kx.into_bytes();
+    transcript.update(&kx);
+    write_frame(&mut transport, &kx)?;
 
-        let kex_span = Span::enter("gsi.handshake.kex");
+    let keys = derive_keys(&premaster, &random_c, &random_s);
+    let transcript = transcript.finalize();
+    let expect = finished_mac(&keys.master, b"server finished", &transcript);
+    recv_finished(&mut transport, MSG_FINISHED_SERVER, &expect, "server Finished MAC mismatch")?;
+    let mine = finished_mac(&keys.master, b"client finished", &transcript);
+    send_finished(&mut transport, MSG_FINISHED_CLIENT, &mine)?;
+
+    let records = SealedRecords::new(keys.client, keys.server, true);
+    Ok(Channel { transport, records, peer: server_validated })
+}
+
+/// Server side of the handshake, both forms: with `client_auth` (the
+/// validation config and the time) the KeyExchange must carry a chain
+/// that validates and a signature that verifies, and the validated
+/// client chain is the channel's peer; without it both fields must be
+/// empty.
+fn server_handshake<T: Transport, R: Rng + ?Sized>(
+    mut transport: T,
+    chain: &[Certificate],
+    key: &RsaPrivateKey,
+    client_auth: Option<(&ChannelConfig, u64)>,
+    rng: &mut R,
+) -> Result<Channel<T, Option<ValidatedChain>>> {
+    // Records into `gsi.handshake.server` on every exit path.
+    let _span = Span::enter("gsi.handshake.server");
+    let mut transcript = Sha256::new();
+
+    // <- ClientHello
+    let hello = read_frame(&mut transport)?;
+    transcript.update(&hello);
+    let mut r = WireReader::new(expect_msg(&hello, MSG_CLIENT_HELLO)?);
+    let random_c = read_random(&mut r)?;
+    r.finish()?;
+
+    // -> ServerHello
+    let mut random_s = [0u8; 32];
+    rng.fill(&mut random_s);
+    let chain_der: Vec<Vec<u8>> = chain.iter().map(|c| c.to_der().to_vec()).collect();
+    let mut sh = message(MSG_SERVER_HELLO);
+    sh.bytes(&random_s);
+    sh.byte_list(&chain_der);
+    let sh = sh.into_bytes();
+    transcript.update(&sh);
+    write_frame(&mut transport, &sh)?;
+
+    // <- KeyExchange
+    let kx = read_frame(&mut transport)?;
+    let mut r = WireReader::new(expect_msg(&kx, MSG_KEY_EXCHANGE)?);
+    let client_chain_der = r.byte_list()?;
+    let enc_premaster = r.bytes()?;
+    let signature = r.bytes()?;
+    r.finish()?;
+
+    // Each form refuses the other before any private-key operation.
+    let peer = match client_auth {
+        Some(_) if client_chain_der.is_empty() => {
+            return Err(GsiError::Protocol("client certificate required on this channel".into()));
+        }
+        Some((config, now)) => Some(validate_peer(&client_chain_der, config, now)?.0),
+        None if client_chain_der.is_empty() && signature.is_empty() => None,
+        None => {
+            return Err(GsiError::Protocol("client certificate not accepted on this channel".into()));
+        }
+    };
+
+    let kex_span = Span::enter("gsi.handshake.kex");
+    if let Some(client) = &peer {
         // Verify the client's transcript signature with its leaf key —
         // this is its proof of possession.
-        let mut to_sign = transcript.clone();
-        for der in &client_chain_der {
-            to_sign.update(der);
-        }
-        to_sign.update(&enc_premaster);
-        let digest = to_sign.finalize();
-        client_validated
+        client
             .leaf_public_key
-            .verify(&digest, &signature)
+            .verify(&signed_digest(&transcript, &client_chain_der, enc_premaster), signature)
             .map_err(|_| GsiError::Crypto("client transcript signature invalid"))?;
-
-        transcript.update(&kx);
-
-        let premaster = cred
-            .key()
-            .decrypt(&enc_premaster)
-            .map_err(|_| GsiError::Crypto("premaster decryption failed"))?;
-        if premaster.len() != 48 {
-            return Err(GsiError::Crypto("premaster has wrong length"));
-        }
-        drop(kex_span); // client proof verified, premaster recovered
-
-        let keys = derive_keys(&premaster, &random_c, &random_s);
-        let transcript_hash = transcript.finalize();
-
-        // -> Finished (server)
-        let mine = finished_mac(&keys.master, b"server finished", &transcript_hash);
-        let mut fin_s = WireWriter::new();
-        fin_s.u8(MSG_FINISHED_SERVER);
-        fin_s.bytes(&mine);
-        write_frame(&mut transport, &fin_s.into_bytes())?;
-
-        // <- Finished (client)
-        let fin_c = read_frame(&mut transport)?;
-        let body = expect_msg(&fin_c, MSG_FINISHED_CLIENT)?;
-        let mut r = WireReader::new(body);
-        let their_mac = r.bytes()?;
-        r.finish()?;
-        let expect = finished_mac(&keys.master, b"client finished", &transcript_hash);
-        if !ct_eq(their_mac, &expect) {
-            return Err(GsiError::Crypto("client Finished MAC mismatch"));
-        }
-
-        Ok(SecureChannel {
-            transport,
-            records: SealedRecords::new(keys.client, keys.server, false),
-            peer: client_validated,
-        })
     }
+    transcript.update(&kx);
+    let premaster = key
+        .decrypt(enc_premaster)
+        .map_err(|_| GsiError::Crypto("premaster decryption failed"))?;
+    if premaster.len() != 48 {
+        return Err(GsiError::Crypto("premaster has wrong length"));
+    }
+    drop(kex_span); // client proof verified, premaster recovered
 
+    let keys = derive_keys(&premaster, &random_c, &random_s);
+    let transcript = transcript.finalize();
+    let mine = finished_mac(&keys.master, b"server finished", &transcript);
+    send_finished(&mut transport, MSG_FINISHED_SERVER, &mine)?;
+    let expect = finished_mac(&keys.master, b"client finished", &transcript);
+    recv_finished(&mut transport, MSG_FINISHED_CLIENT, &expect, "client Finished MAC mismatch")?;
+
+    let records = SealedRecords::new(keys.client, keys.server, false);
+    Ok(Channel { transport, records, peer })
+}
+
+impl<T: Transport, P> Channel<T, P> {
     /// Send one encrypted, authenticated message.
     pub fn send(&mut self, data: &[u8]) -> Result<()> {
         self.records.send(&mut self.transport, data)
@@ -382,21 +400,75 @@ impl<T: Transport> SecureChannel<T> {
         self.records.recv(&mut self.transport)
     }
 
-    /// Who is on the other end (validated chain, including effective
-    /// identity, limited flag and restrictions).
-    pub fn peer(&self) -> &ValidatedChain {
-        &self.peer
-    }
-
     /// Borrow the underlying transport (e.g. to adjust deadlines after
     /// the handshake has completed).
     pub fn transport_ref(&self) -> &T {
         &self.transport
     }
 
-    /// Mutably borrow the underlying transport.
-    pub fn transport_mut(&mut self) -> &mut T {
-        &mut self.transport
+    fn with_peer<Q>(self, peer: Q) -> Channel<T, Q> {
+        Channel { transport: self.transport, records: self.records, peer }
+    }
+}
+
+impl<T: Transport> SecureChannel<T> {
+    /// Client side of the handshake.
+    pub fn connect<R: Rng + ?Sized>(
+        transport: T,
+        cred: &Credential,
+        config: &ChannelConfig,
+        rng: &mut R,
+        now: u64,
+    ) -> Result<Self> {
+        client_handshake(transport, Some(cred), config, rng, now)
+    }
+
+    /// Server side of the handshake. The client's chain and transcript
+    /// signature are always demanded; nothing in `config` can waive
+    /// them.
+    pub fn accept<R: Rng + ?Sized>(
+        transport: T,
+        cred: &Credential,
+        config: &ChannelConfig,
+        rng: &mut R,
+        now: u64,
+    ) -> Result<Self> {
+        let mut channel =
+            server_handshake(transport, cred.chain(), cred.key(), Some((config, now)), rng)?;
+        // Fail closed: no validated client, no channel.
+        let peer = channel.peer.take();
+        let peer = peer.ok_or_else(|| GsiError::Protocol("client did not authenticate".into()))?;
+        Ok(channel.with_peer(peer))
+    }
+
+    /// Who is on the other end (validated chain, including effective
+    /// identity, limited flag and restrictions).
+    pub fn peer(&self) -> &ValidatedChain {
+        &self.peer
+    }
+}
+
+impl<T: Transport> ServerAuthChannel<T> {
+    /// Client side: validate the server's chain under `config` (trust
+    /// roots, pinned identity, CRLs) and present no certificate.
+    pub fn connect<R: Rng + ?Sized>(
+        transport: T,
+        config: &ChannelConfig,
+        rng: &mut R,
+        now: u64,
+    ) -> Result<Self> {
+        Ok(client_handshake(transport, None, config, rng, now)?.with_peer(()))
+    }
+
+    /// Server side: present `chain` (leaf first), prove `key`, and
+    /// refuse a client that offers a certificate.
+    pub fn accept<R: Rng + ?Sized>(
+        transport: T,
+        chain: &[Certificate],
+        key: &RsaPrivateKey,
+        rng: &mut R,
+    ) -> Result<Self> {
+        Ok(server_handshake(transport, chain, key, None, rng)?.with_peer(()))
     }
 }
 

@@ -7,9 +7,11 @@
 //! * [`proxy`] — `grid-proxy-init`: local proxy-credential creation (§2.3)
 //! * [`transport`] — byte transports: TCP, in-memory duplex pipes, and a
 //!   wiretap wrapper used by the §5.2 snooping experiments
-//! * [`channel`] — the SSL-shaped mutually-authenticated secure channel
-//!   (§2.2): handshake with certificate exchange, RSA key transport,
-//!   transcript-bound signatures, then an encrypt-then-MAC record layer
+//! * [`channel`] — the SSL-shaped secure channel (§2.2), the only
+//!   handshake in the repository: certificate exchange, RSA key
+//!   transport, transcript-bound signatures, then an encrypt-then-MAC
+//!   record layer; mutually authenticated for every Grid daemon, with
+//!   the client certificate absent for the browser↔portal leg (§5.2)
 //! * [`mod@delegate`] — the GSI delegation protocol (§2.4): the private key
 //!   never crosses the wire; the receiver generates a keypair and the
 //!   delegator signs a proxy certificate over an established channel
@@ -18,12 +20,16 @@
 //! * [`net`] — the shared service substrate every daemon runs on:
 //!   bounded worker pools with load shedding, per-phase deadlines,
 //!   resilient accept loops, graceful shutdown, fault injection
+//! * [`wire`] / [`lines`] — the two message encodings everything above
+//!   the record layer uses: length-prefixed binary fields, and the one
+//!   `KEY=VALUE` line-block codec (MYPROXYv2, GRAM, store files)
 
 pub mod acl;
 pub mod channel;
 pub mod credential;
 pub mod delegate;
 pub mod gridmap;
+pub mod lines;
 pub mod net;
 pub mod proxy;
 pub mod record;

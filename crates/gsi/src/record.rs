@@ -109,7 +109,10 @@ impl SealedRecords {
         let aad = self.recv_seq.to_be_bytes();
         let plaintext = KeyedBox::open(&self.recv_keys.enc, &self.recv_keys.mac, &nonce, &sealed, &aad)
             .map_err(|_| GsiError::Crypto("record MAC verification failed"))?;
-        self.recv_seq += 1;
+        self.recv_seq = self
+            .recv_seq
+            .checked_add(1)
+            .ok_or_else(|| GsiError::Protocol("receive sequence exhausted".into()))?;
         Ok(plaintext)
     }
 }

@@ -145,7 +145,7 @@ impl<'a> WireReader<'a> {
     /// List of byte strings.
     pub fn byte_list(&mut self) -> Result<Vec<Vec<u8>>, GsiError> {
         let count = self.u32()? as usize;
-        if count > 64 {
+        if count > MAX_LIST {
             return Err(GsiError::Protocol("wire list too long".into()));
         }
         (0..count).map(|_| Ok(self.bytes()?.to_vec())).collect()

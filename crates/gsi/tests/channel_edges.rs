@@ -3,8 +3,10 @@
 //! configurations. A broken or malicious peer must produce a clean
 //! error on the other side — never a hang, panic, or silent success.
 
+use mp_gsi::channel::ServerAuthChannel;
 use mp_gsi::record::{read_frame, write_frame};
-use mp_gsi::transport::duplex;
+use mp_gsi::transport::{duplex, MemStream};
+use mp_gsi::wire::WireWriter;
 use mp_gsi::{ChannelConfig, Credential, GsiError, SecureChannel};
 use mp_x509::test_util::{test_drbg, test_rsa_key};
 use mp_x509::{CertificateAuthority, Dn};
@@ -177,4 +179,104 @@ fn sessions_have_independent_keys() {
     // The data record is the last frame on each wire; with session keys
     // bound to the server random, the sealed bytes must differ.
     assert_ne!(wire1, wire2, "two sessions produced identical wire bytes");
+}
+
+/// The handshake's other form: no client certificate. The server is
+/// authenticated exactly as on the mutual form (chain, pinned identity,
+/// proof of key); the client is nobody.
+#[test]
+fn server_auth_only_form_authenticates_the_server_and_nobody_else() {
+    let p = pki();
+    let pinned = cfg(&p).expecting(Dn::parse("/O=Grid/CN=server").unwrap());
+    let (ct, st) = duplex();
+    let server = p.server.clone();
+    let h = std::thread::spawn(move || {
+        let mut rng = test_drbg("anon server");
+        let mut s = ServerAuthChannel::accept(st, server.chain(), server.key(), &mut rng).unwrap();
+        let msg = s.recv().unwrap();
+        s.send(&msg).unwrap();
+    });
+    let mut rng = test_drbg("anon client");
+    let mut c = ServerAuthChannel::connect(ct, &pinned, &mut rng, 100).unwrap();
+    c.send(b"POST /login").unwrap();
+    assert_eq!(c.recv().unwrap(), b"POST /login");
+    h.join().unwrap();
+
+    let elsewhere = cfg(&p).expecting(Dn::parse("/O=Grid/CN=elsewhere").unwrap());
+    let (ct, st) = duplex();
+    let server = p.server.clone();
+    let h = std::thread::spawn(move || {
+        let mut rng = test_drbg("anon server 2");
+        ServerAuthChannel::accept(st, server.chain(), server.key(), &mut rng).is_err()
+    });
+    let refused = ServerAuthChannel::connect(ct, &elsewhere, &mut rng, 100);
+    assert!(matches!(refused, Err(GsiError::Denied(_))));
+    assert!(h.join().unwrap(), "the client hung up; the server must not report success");
+}
+
+fn protocol_error<C>(verdict: Result<C, GsiError>, needle: &str) {
+    match verdict {
+        Err(GsiError::Protocol(why)) => assert!(why.contains(needle), "{why}"),
+        Err(other) => panic!("expected a protocol error, got {other}"),
+        Ok(_) => panic!("handshake succeeded"),
+    }
+}
+
+/// Fail closed both ways: which form an endpoint speaks is fixed by the
+/// entry point it calls, and each `accept` refuses the other form.
+#[test]
+fn each_accept_refuses_the_other_form() {
+    let p = pki();
+
+    // A client without a certificate at a mutual endpoint.
+    let (ct, st) = duplex();
+    let (server, config) = (p.server.clone(), cfg(&p));
+    let h = std::thread::spawn(move || {
+        let mut rng = test_drbg("mutual vs anon");
+        SecureChannel::accept(st, &server, &config, &mut rng, 100)
+    });
+    let mut rng = test_drbg("anon vs mutual");
+    assert!(ServerAuthChannel::connect(ct, &cfg(&p), &mut rng, 100).is_err());
+    protocol_error(h.join().unwrap(), "certificate required");
+
+    // A certificate-bearing client at a server-auth-only endpoint.
+    let (ct, st) = duplex();
+    let server = p.server.clone();
+    let h = std::thread::spawn(move || {
+        let mut rng = test_drbg("anon vs mutual server");
+        ServerAuthChannel::accept(st, server.chain(), server.key(), &mut rng)
+    });
+    assert!(SecureChannel::connect(ct, &p.alice, &cfg(&p), &mut rng, 100).is_err());
+    protocol_error(h.join().unwrap(), "not accepted");
+}
+
+/// A hand-rolled client: honest hellos, then a KeyExchange that stops
+/// after the encrypted premaster — no signature field, not even an
+/// empty one. Both forms read all three fields before anything else.
+#[test]
+fn key_exchange_truncated_after_the_premaster_is_refused_on_both_forms() {
+    fn truncating_client(mut t: MemStream, chain: Vec<Vec<u8>>) {
+        let mut hello = WireWriter::new();
+        hello.u8(1).bytes(&[7u8; 32]);
+        write_frame(&mut t, &hello.into_bytes()).unwrap();
+        read_frame(&mut t).unwrap(); // ServerHello
+        let mut kx = WireWriter::new();
+        kx.u8(3).byte_list(&chain).bytes(&[0x42u8; 64]);
+        write_frame(&mut t, &kx.into_bytes()).unwrap();
+    }
+    let p = pki();
+
+    let (ct, st) = duplex();
+    let chain = p.alice.chain_der();
+    let client = std::thread::spawn(move || truncating_client(ct, chain));
+    let mut rng = test_drbg("truncated mutual");
+    protocol_error(SecureChannel::accept(st, &p.server, &cfg(&p), &mut rng, 100), "truncated");
+    client.join().unwrap();
+
+    let (ct, st) = duplex();
+    let client = std::thread::spawn(move || truncating_client(ct, Vec::new()));
+    let mut rng = test_drbg("truncated anon");
+    let verdict = ServerAuthChannel::accept(st, p.server.chain(), p.server.key(), &mut rng);
+    protocol_error(verdict, "truncated");
+    client.join().unwrap();
 }

@@ -161,6 +161,7 @@ pub const RULES: &[Rule] = &[
             "crates/core/src/repl.rs",
             "crates/gsi/src/channel.rs",
             "crates/gsi/src/wire.rs",
+            "crates/gsi/src/lines.rs",
             "crates/gsi/src/transport.rs",
             "crates/gsi/src/net.rs",
             OBS,

@@ -6,9 +6,10 @@
 //!
 //! * [`http`] — a minimal HTTP/1.0 request/response codec with cookies
 //!   and form bodies (what the "standard web browser" speaks)
-//! * [`tls`] — HTTPS-sim: a one-way-authenticated encrypted pipe in the
-//!   shape of web TLS (server cert, RSA key transport, sealed records).
-//!   §5.2 requires the portal to accept logins only over this.
+//! * [`tls`] — HTTPS-sim: the GSI channel with the client certificate
+//!   absent (server cert, RSA key transport, sealed records), under its
+//!   portal name. §5.2 requires the portal to accept logins only over
+//!   this.
 //! * [`session`] — cookie sessions mapping a browser to its delegated
 //!   proxy ("it is the portal's responsibility … to map the credentials
 //!   to the user's web session", §5.2)

@@ -1,246 +1,72 @@
-//! HTTPS-sim: a one-way-authenticated encrypted pipe in the shape of
-//! web TLS.
+//! HTTPS-sim: the browser↔portal leg.
 //!
 //! Paper §5.2: "The portal web server must currently be configured to
 //! only allow HTTP connections secured with SSL encryption (HTTPS),
 //! since transmitting the name and pass phrase over unencrypted HTTP
 //! would allow any intruder to snoop the pass phrase."
 //!
-//! The GSI channel (`mp_gsi::channel`) requires *mutual* certificate
-//! authentication — but a web browser has no Grid credentials; that gap
-//! is the whole reason MyProxy exists (§3.2). So the browser↔portal leg
-//! uses this module instead: the browser validates the portal's
-//! certificate and transports a premaster to it, exactly the
-//! server-auth-only shape of 2001-era HTTPS. Same primitives
-//! (RSA-PKCS#1 key transport, HMAC key schedule, sealed records), no
-//! client certificate.
+//! It is the same SSL GSI uses (§2.2), so it is the same handshake:
+//! `mp_gsi::channel` with the client certificate absent — a web browser
+//! has no Grid credentials; that gap is the whole reason MyProxy exists
+//! (§3.2). The browser validates the portal's certificate and
+//! transports a premaster to it, exactly the server-auth-only shape of
+//! 2001-era HTTPS. This module is that channel type under its portal
+//! name, plus the mapping of its errors into [`PortalError`].
 
 use crate::{PortalError, Result};
-use mp_crypto::hmac::HmacSha256;
-use mp_crypto::{ct_eq, Sha256};
-use mp_gsi::record::{read_frame, write_frame, DirectionKeys, SealedRecords};
-use mp_gsi::transport::Transport;
-use mp_gsi::wire::{WireReader, WireWriter};
-use mp_x509::{validate_chain, Certificate, Dn, ValidationOptions};
 use mp_crypto::rsa::RsaPrivateKey;
+use mp_gsi::channel::{self, ChannelConfig, ServerAuthChannel};
+use mp_gsi::transport::Transport;
+use mp_gsi::GsiError;
+use mp_x509::{Certificate, Dn};
 use rand::Rng;
 
-/// First byte of a busy-refusal frame sent in place of ServerHello. A
-/// real ServerHello starts with a 4-byte big-endian length prefix whose
-/// first byte is far below 0xFF, so the marker is unambiguous.
-const BUSY_MARKER: u8 = 0xFF;
+/// An established HTTPS-sim connection (either side): `send` and `recv`
+/// move one message (e.g. a full HTTP request), `transport_ref` reaches
+/// the transport to re-arm deadlines after the handshake.
+pub type TlsStream<T> = ServerAuthChannel<T>;
 
-/// An established HTTPS-sim connection (either side).
-pub struct TlsStream<T: Transport> {
-    transport: T,
-    records: SealedRecords,
-}
-
-impl<T: Transport> TlsStream<T> {
-    /// Send one message (e.g. a full HTTP request).
-    pub fn send(&mut self, data: &[u8]) -> Result<()> {
-        self.records.send(&mut self.transport, data).map_err(tls_err)
-    }
-
-    /// Receive one message.
-    pub fn recv(&mut self) -> Result<Vec<u8>> {
-        self.records.recv(&mut self.transport).map_err(tls_err)
-    }
-
-    /// Borrow the underlying transport (to re-arm deadlines after the
-    /// handshake).
-    pub fn transport_ref(&self) -> &T {
-        &self.transport
+/// A channel error as the portal reports it; transport I/O (including
+/// deadline timeouts) keeps its [`std::io::Error`] so callers can
+/// classify it.
+impl From<GsiError> for PortalError {
+    fn from(e: GsiError) -> Self {
+        match e {
+            GsiError::Io(io) => PortalError::Io(io),
+            other => PortalError::Tls(other.to_string()),
+        }
     }
 }
 
-/// Server-side load-shed: consume the ClientHello, then refuse with a
-/// busy frame instead of a ServerHello. [`connect`] surfaces this to
-/// the browser as a distinguishable "server busy" error.
+/// Server-side load-shed: consume the ClientHello, then refuse with the
+/// channel's BUSY frame instead of a ServerHello. [`connect`] surfaces
+/// this to the browser as a distinguishable "server busy" error.
 pub fn send_busy<T: Transport>(transport: &mut T, reason: &str) -> Result<()> {
-    let _hello = read_frame(transport).map_err(tls_err)?;
-    let mut w = WireWriter::new();
-    w.u8(BUSY_MARKER);
-    w.bytes(reason.as_bytes());
-    write_frame(transport, &w.into_bytes()).map_err(tls_err)
-}
-
-fn derive(premaster: &[u8], rc: &[u8; 32], rs: &[u8; 32], label: &[u8]) -> [u8; 32] {
-    let mut mac = HmacSha256::new(premaster);
-    mac.update(label);
-    mac.update(rc);
-    mac.update(rs);
-    mac.finalize()
-}
-
-fn key_schedule(premaster: &[u8], rc: &[u8; 32], rs: &[u8; 32]) -> (DirectionKeys, DirectionKeys, [u8; 32]) {
-    (
-        DirectionKeys { enc: derive(premaster, rc, rs, b"web c2s enc"), mac: derive(premaster, rc, rs, b"web c2s mac") },
-        DirectionKeys { enc: derive(premaster, rc, rs, b"web s2c enc"), mac: derive(premaster, rc, rs, b"web s2c mac") },
-        derive(premaster, rc, rs, b"web master"),
-    )
+    Ok(channel::send_busy(transport, reason)?)
 }
 
 /// Browser side: validate the server chain against `trust_roots` (the
 /// browser's CA store) and optionally pin the expected server DN.
 pub fn connect<T: Transport, R: Rng + ?Sized>(
-    mut transport: T,
+    transport: T,
     trust_roots: &[Certificate],
     expected_server: Option<&Dn>,
     rng: &mut R,
     now: u64,
 ) -> Result<TlsStream<T>> {
-    let mut transcript = Sha256::new();
-
-    let mut random_c = [0u8; 32];
-    rng.fill(&mut random_c);
-    let mut hello = WireWriter::new();
-    hello.bytes(&random_c);
-    let hello = hello.into_bytes();
-    transcript.update(&hello);
-    write_frame(&mut transport, &hello).map_err(tls_err)?;
-
-    let server_hello = read_frame(&mut transport).map_err(tls_err)?;
-    if let Some((&BUSY_MARKER, rest)) = server_hello.split_first() {
-        let mut r = WireReader::new(rest);
-        let reason = String::from_utf8_lossy(r.bytes().map_err(tls_err)?).into_owned();
-        return Err(PortalError::Tls(format!("server busy: {reason}")));
-    }
-    transcript.update(&server_hello);
-    let mut r = WireReader::new(&server_hello);
-    let random_s: [u8; 32] = r
-        .bytes()
-        .map_err(tls_err)?
-        .try_into()
-        .map_err(|_| PortalError::Tls("bad server random".into()))?;
-    let chain_der = r.byte_list().map_err(tls_err)?;
-    r.finish().map_err(tls_err)?;
-    let chain: Vec<Certificate> = chain_der
-        .iter()
-        .map(|d| Certificate::from_der(d))
-        .collect::<std::result::Result<_, _>>()
-        .map_err(|e| PortalError::Tls(e.to_string()))?;
-    let validated = validate_chain(&chain, trust_roots, now, &ValidationOptions::default())
-        .map_err(|e| PortalError::Tls(format!("server certificate rejected: {e}")))?;
-    if let Some(expected) = expected_server {
-        if &validated.identity != expected {
-            return Err(PortalError::Tls(format!(
-                "server identity {} does not match expected {expected}",
-                validated.identity
-            )));
-        }
-    }
-
-    let mut premaster = [0u8; 48];
-    rng.fill(&mut premaster[..32]);
-    rng.fill(&mut premaster[32..]);
-    let enc = chain[0]
-        .public_key()
-        .encrypt(rng, &premaster)
-        .map_err(|_| PortalError::Tls("premaster encryption failed".into()))?;
-    let mut kx = WireWriter::new();
-    kx.bytes(&enc);
-    let kx = kx.into_bytes();
-    transcript.update(&kx);
-    write_frame(&mut transport, &kx).map_err(tls_err)?;
-
-    let (c2s, s2c, master) = key_schedule(&premaster, &random_c, &random_s);
-    let transcript_hash = transcript.finalize();
-
-    // Server Finished proves it decrypted the premaster (i.e. holds the
-    // certified key) — this is the entire server authentication.
-    let fin = read_frame(&mut transport).map_err(tls_err)?;
-    let expect = {
-        let mut m = HmacSha256::new(&master);
-        m.update(b"server finished");
-        m.update(&transcript_hash);
-        m.finalize()
-    };
-    if !ct_eq(&fin, &expect) {
-        return Err(PortalError::Tls("server Finished MAC mismatch".into()));
-    }
-    let mine = {
-        let mut m = HmacSha256::new(&master);
-        m.update(b"client finished");
-        m.update(&transcript_hash);
-        m.finalize()
-    };
-    write_frame(&mut transport, &mine).map_err(tls_err)?;
-
-    Ok(TlsStream { transport, records: SealedRecords::new(c2s, s2c, true) })
+    let mut config = ChannelConfig::new(trust_roots.to_vec());
+    config.expected_peer = expected_server.cloned();
+    Ok(TlsStream::connect(transport, &config, rng, now)?)
 }
 
 /// Portal side: present `chain` (leaf first) and `key`.
 pub fn accept<T: Transport, R: Rng + ?Sized>(
-    mut transport: T,
+    transport: T,
     chain: &[Certificate],
     key: &RsaPrivateKey,
     rng: &mut R,
 ) -> Result<TlsStream<T>> {
-    let mut transcript = Sha256::new();
-
-    let hello = read_frame(&mut transport).map_err(tls_err)?;
-    transcript.update(&hello);
-    let mut r = WireReader::new(&hello);
-    let random_c: [u8; 32] = r
-        .bytes()
-        .map_err(tls_err)?
-        .try_into()
-        .map_err(|_| PortalError::Tls("bad client random".into()))?;
-    r.finish().map_err(tls_err)?;
-
-    let mut random_s = [0u8; 32];
-    rng.fill(&mut random_s);
-    let mut sh = WireWriter::new();
-    sh.bytes(&random_s);
-    sh.byte_list(&chain.iter().map(|c| c.to_der().to_vec()).collect::<Vec<_>>());
-    let sh = sh.into_bytes();
-    transcript.update(&sh);
-    write_frame(&mut transport, &sh).map_err(tls_err)?;
-
-    let kx = read_frame(&mut transport).map_err(tls_err)?;
-    transcript.update(&kx);
-    let mut r = WireReader::new(&kx);
-    let enc = r.bytes().map_err(tls_err)?;
-    r.finish().map_err(tls_err)?;
-    let premaster = key
-        .decrypt(enc)
-        .map_err(|_| PortalError::Tls("premaster decryption failed".into()))?;
-    if premaster.len() != 48 {
-        return Err(PortalError::Tls("premaster wrong length".into()));
-    }
-
-    let (c2s, s2c, master) = key_schedule(&premaster, &random_c, &random_s);
-    let transcript_hash = transcript.finalize();
-
-    let mine = {
-        let mut m = HmacSha256::new(&master);
-        m.update(b"server finished");
-        m.update(&transcript_hash);
-        m.finalize()
-    };
-    write_frame(&mut transport, &mine).map_err(tls_err)?;
-    let fin = read_frame(&mut transport).map_err(tls_err)?;
-    let expect = {
-        let mut m = HmacSha256::new(&master);
-        m.update(b"client finished");
-        m.update(&transcript_hash);
-        m.finalize()
-    };
-    if !ct_eq(&fin, &expect) {
-        return Err(PortalError::Tls("client Finished MAC mismatch".into()));
-    }
-
-    Ok(TlsStream { transport, records: SealedRecords::new(c2s, s2c, false) })
-}
-
-/// Map a channel error; transport I/O (including deadline timeouts)
-/// keeps its [`std::io::Error`] so callers can classify it.
-fn tls_err(e: mp_gsi::GsiError) -> PortalError {
-    match e {
-        mp_gsi::GsiError::Io(io) => PortalError::Io(io),
-        other => PortalError::Tls(other.to_string()),
-    }
+    Ok(TlsStream::accept(transport, chain, key, rng)?)
 }
 
 #[cfg(test)]

@@ -326,3 +326,81 @@ fn stolen_chain_without_key_useless() {
     let w = GridWorld::new();
     assert!(Credential::new(w.alice.chain().to_vec(), w.bob.key().clone()).is_err());
 }
+
+/// The handshake has two forms — client certificate present or absent —
+/// and which one an endpoint speaks is fixed by its type. A browser-
+/// style client (no certificate) at any of the mutually-authenticated
+/// daemons is refused with a protocol error at the KeyExchange, before
+/// the daemon touches its private key; the repository counts it.
+#[test]
+fn certificate_less_client_is_refused_by_every_grid_daemon() {
+    use myproxy::gram::GramError;
+    use myproxy::gsi::channel::ServerAuthChannel;
+    use myproxy::gsi::{duplex, GsiError};
+    use myproxy::myproxy::MyProxyError;
+
+    let w = GridWorld::new();
+    let cfg = ChannelConfig::new(vec![w.ca_cert.clone()]);
+    let now = w.clock.now();
+    // Dial `serve` (one daemon's per-connection entry, on its own
+    // thread) with the certificate-less form; hand back its verdict.
+    let attempt = |serve: &(dyn Fn(myproxy::gsi::MemStream) -> Option<GsiError> + Sync)| {
+        let (client, server) = duplex();
+        std::thread::scope(|s| {
+            let verdict = s.spawn(move || serve(server));
+            let mut rng = test_drbg("no-cert client");
+            assert!(ServerAuthChannel::connect(client, &cfg, &mut rng, now).is_err());
+            verdict.join().unwrap()
+        })
+    };
+    let required = |verdict: Option<GsiError>, who: &str| match verdict {
+        Some(GsiError::Protocol(why)) => assert!(why.contains("certificate required"), "{who}: {why}"),
+        other => panic!("{who}: expected a protocol error, got {other:?}"),
+    };
+
+    required(
+        attempt(&|conn| match w.myproxy.handle(conn, None) {
+            Err(MyProxyError::Gsi(e)) => Some(e),
+            _ => None,
+        }),
+        "repository",
+    );
+    assert_eq!(w.myproxy.stats().channel_failures.get(), 1);
+    required(
+        attempt(&|conn| match w.jobmanager.handle(conn, &mut test_drbg("jm no-cert"), None) {
+            Err(GramError::Gsi(e)) => Some(e),
+            _ => None,
+        }),
+        "job manager",
+    );
+    required(
+        attempt(&|conn| match w.storage.handle(conn, &mut test_drbg("st no-cert"), None) {
+            Err(GramError::Gsi(e)) => Some(e),
+            _ => None,
+        }),
+        "storage",
+    );
+}
+
+/// The other direction: the portal's HTTPS-sim side takes no client
+/// certificate. A Grid client presenting one is refused (documented in
+/// docs/PROTOCOL.md §1) rather than served with its proof ignored.
+#[test]
+fn certificate_bearing_client_is_refused_by_the_portal() {
+    use myproxy::gsi::duplex;
+    use myproxy::portal::PortalError;
+
+    let w = GridWorld::new();
+    let cfg = ChannelConfig::new(vec![w.ca_cert.clone()]);
+    let (client, server) = duplex();
+    let verdict = std::thread::scope(|s| {
+        let verdict = s.spawn(|| w.portal.serve_tls(server, None));
+        let mut rng = test_drbg("cert at portal");
+        assert!(SecureChannel::connect(client, &w.alice, &cfg, &mut rng, w.clock.now()).is_err());
+        verdict.join().unwrap()
+    });
+    match verdict {
+        Err(PortalError::Tls(why)) => assert!(why.contains("client certificate not accepted"), "{why}"),
+        other => panic!("expected a TLS-level refusal, got {other:?}"),
+    }
+}

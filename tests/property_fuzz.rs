@@ -4,7 +4,7 @@
 //! always the same pair: (a) no panic on arbitrary input, (b) valid
 //! values round-trip exactly.
 
-use myproxy::myproxy::proto::{parse_tags, render_tags, Command, Request, Response};
+use myproxy::myproxy::proto::{field, parse_tags, render_tags, Command, Request, Response};
 use myproxy::portal::http::{HttpRequest, HttpResponse};
 use myproxy::x509::validate::Restriction;
 use myproxy::x509::{Certificate, CertRequest, Dn};
@@ -20,7 +20,113 @@ fn proto_key() -> impl Strategy<Value = String> {
     "[A-Z_]{1,20}"
 }
 
+/// The five request blocks of ndg-security's `MyProxyClient`
+/// (SNIPPETS.md), byte for byte with the Python `%s`/`%d` holes left in:
+/// get and store end in the C string terminator, the change-pass-phrase
+/// block is indented by one space, info and destroy send the literal
+/// word `PASSPHRASE` as the pass phrase. This is the real MYPROXYv2
+/// grammar the line codec must read, and the seed corpus for the
+/// mutation fuzz below.
+const NDG_BLOCKS: [(Command, &str); 5] = [
+    (Command::Get, "VERSION=MYPROXYv2\nCOMMAND=0\nUSERNAME=%s\nPASSPHRASE=%s\nLIFETIME=%d\0"),
+    (Command::Info, "VERSION=MYPROXYv2\nCOMMAND=2\nUSERNAME=%s\nPASSPHRASE=PASSPHRASE\nLIFETIME=0"),
+    (Command::Destroy, "VERSION=MYPROXYv2\nCOMMAND=3\nUSERNAME=%s\nPASSPHRASE=PASSPHRASE\nLIFETIME=0"),
+    (
+        Command::ChangePassphrase,
+        "VERSION=MYPROXYv2\n COMMAND=4\n USERNAME=%s\n PASSPHRASE=%s\n NEW_PHRASE=%s\n LIFETIME=0",
+    ),
+    (Command::StoreLongTerm, "VERSION=MYPROXYv2\nCOMMAND=5\nUSERNAME=%s\nPASSPHRASE=\nLIFETIME=%d\0"),
+];
+
+/// Python's `template % (strings..., lifetime)`.
+fn fill(template: &str, strings: &[&str], lifetime: u32) -> String {
+    let mut strings = strings.iter();
+    let mut out = String::new();
+    let mut rest = template;
+    while let Some((head, tail)) = rest.split_once('%') {
+        out.push_str(head);
+        match tail.as_bytes().first() {
+            Some(b's') => out.push_str(strings.next().expect("a string per %s")),
+            _ => out.push_str(&lifetime.to_string()),
+        }
+        rest = &tail[1..];
+    }
+    out + rest
+}
+
+#[test]
+fn ndg_security_request_blocks_parse_to_the_expected_command_and_fields() {
+    let strings = ["jdoe", "old pass phrase", "new pass phrase"];
+    for (command, template) in NDG_BLOCKS {
+        let req = Request::from_text(&fill(template, &strings, 43200))
+            .unwrap_or_else(|e| panic!("{command:?} block refused: {e}"));
+        assert_eq!(req.command, command);
+        assert_eq!(req.get(field::USERNAME), Some("jdoe"), "{command:?}");
+        let lifetime = req.get_u64(field::LIFETIME, u64::MAX).unwrap();
+        let passphrase = req.get(field::PASSPHRASE);
+        match command {
+            // The trailing NUL is the block's terminator, not part of
+            // the LIFETIME value.
+            Command::Get => assert_eq!((passphrase, lifetime), (Some("old pass phrase"), 43200)),
+            Command::StoreLongTerm => assert_eq!((passphrase, lifetime), (Some(""), 43200)),
+            // A placeholder, not a secret: the C server ignores it for
+            // these two commands. Ours authenticates INFO and DESTROY
+            // by pass phrase, so an ndg client is refused there — a
+            // semantic divergence, not a grammar one.
+            Command::Info | Command::Destroy => {
+                assert_eq!((passphrase, lifetime), (Some("PASSPHRASE"), 0))
+            }
+            Command::ChangePassphrase => {
+                assert_eq!((passphrase, lifetime), (Some("old pass phrase"), 0));
+                // DIVERGENCE, named rather than hidden: the protocol's
+                // field is NEW_PHRASE; our server reads NEW_PASSPHRASE
+                // and would answer this block with "missing required
+                // field NEW_PASSPHRASE".
+                assert_eq!(req.get("NEW_PHRASE"), Some("new pass phrase"));
+                assert_eq!(field::NEW_PASSPHRASE, "NEW_PASSPHRASE");
+                assert_eq!(req.get(field::NEW_PASSPHRASE), None);
+            }
+            other => unreachable!("{other:?} is not in the corpus"),
+        }
+        assert_eq!(req.fields.len(), if command == Command::ChangePassphrase { 4 } else { 3 });
+    }
+}
+
 proptest! {
+    /// Seeded by the real grammar: fill a corpus block with arbitrary
+    /// legal values, damage it in up to three places, and the parser
+    /// must not panic — and whatever it accepts must survive our own
+    /// render → parse unchanged.
+    #[test]
+    fn damaged_ndg_blocks_never_panic_and_reparse_stably(
+        which in 0usize..5,
+        user in proto_value(),
+        pass in proto_value(),
+        lifetime in any::<u32>(),
+        edits in proptest::collection::vec((any::<usize>(), any::<char>(), any::<bool>()), 0..4),
+    ) {
+        let (command, template) = NDG_BLOCKS[which];
+        let mut text: Vec<char> = fill(template, &[&user, &pass, &pass], lifetime).chars().collect();
+        let intact = edits.is_empty();
+        for (at, c, delete) in edits {
+            let at = at % text.len();
+            if delete {
+                text.remove(at);
+            } else {
+                text[at] = c;
+            }
+            prop_assume!(!text.is_empty());
+        }
+        let text: String = text.into_iter().collect();
+        match Request::from_text(&text) {
+            Ok(req) => {
+                prop_assert!(req.framing_violation().is_none(), "parsed fields are always frameable");
+                prop_assert_eq!(Request::from_text(&req.to_text()).unwrap(), req);
+            }
+            Err(_) => prop_assert!(!intact, "undamaged {:?} block refused", command),
+        }
+    }
+
     #[test]
     fn request_from_text_never_panics(s in any::<String>()) {
         let _ = Request::from_text(&s);

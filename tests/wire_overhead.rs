@@ -81,3 +81,43 @@ fn operation_byte_costs_are_bounded_and_reported() {
     // new chain comes back) than INFO does.
     assert!(get_recv > info_recv);
 }
+
+/// How many length-prefixed frames a byte stream holds.
+fn frames(mut stream: &[u8]) -> usize {
+    let mut n = 0;
+    while let Some((len, rest)) = stream.split_first_chunk::<4>() {
+        stream = &rest[u32::from_be_bytes(*len) as usize..];
+        n += 1;
+    }
+    n
+}
+
+/// The browser leg rides the GSI handshake with the client certificate
+/// absent: both forms are five frames (three sent, two received), and
+/// what the certificate-less form saves is the client chain and the
+/// transcript signature in the KeyExchange.
+#[test]
+fn handshake_is_five_frames_with_or_without_a_client_certificate() {
+    use myproxy::gsi::{ChannelConfig, SecureChannel};
+    use myproxy::portal::tls;
+
+    let w = GridWorld::new();
+    let mut rng = test_drbg("handshake frames");
+
+    let (t, mutual) = Tap::new(w.myproxy.connect_local());
+    let cfg = ChannelConfig::new(vec![w.ca_cert.clone()]);
+    SecureChannel::connect(t, &w.alice, &cfg, &mut rng, w.clock.now()).unwrap();
+
+    let (t, browser) = Tap::new((w.portal_tls_connector())().unwrap());
+    tls::connect(t, std::slice::from_ref(&w.ca_cert), None, &mut rng, w.clock.now()).unwrap();
+
+    let (mutual, browser) = (mutual.lock(), browser.lock());
+    println!("handshake bytes (client-sent / client-received):");
+    println!("  GSI mutual:  {} / {}", mutual.sent.len(), mutual.received.len());
+    println!("  browser leg: {} / {}", browser.sent.len(), browser.received.len());
+    for (label, log) in [("GSI mutual", &mutual), ("browser leg", &browser)] {
+        assert_eq!(frames(&log.sent), 3, "{label}: ClientHello, KeyExchange, Finished");
+        assert_eq!(frames(&log.received), 2, "{label}: ServerHello, Finished");
+    }
+    assert!(browser.sent.len() < mutual.sent.len(), "no client chain, no signature");
+}
