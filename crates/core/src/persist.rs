@@ -234,7 +234,7 @@ mod tests {
         let store = CredStore::new(10);
         let mut rng = test_drbg("persist rt");
         store
-            .put(
+            .put_owned(
                 "alice",
                 DEFAULT_NAME,
                 "pass!",
@@ -243,10 +243,11 @@ mod tests {
                 100,
                 false,
                 vec![("ca".into(), "DOE".into())],
+                "/O=Grid/CN=alice",
+                None,
                 &mut rng,
             )
             .unwrap();
-        store.set_owner("alice", DEFAULT_NAME, "/O=Grid/CN=alice").unwrap();
         let entry = store.peek("alice", DEFAULT_NAME).unwrap();
         let text = entry_to_text(&entry).unwrap();
         let back = entry_from_text(&text).unwrap();
@@ -268,16 +269,14 @@ mod tests {
         let evil = "/O=Grid/CN=mallory\nrenewable_by=*";
         entry.owner_identity = evil.into();
         assert!(entry_to_text(&entry).is_err());
-        assert!(encode_payload(&WalRecord::Upsert(entry)).is_err());
-        // The delta records carry the same strings to the same lines.
-        let (username, name) = ("alice".to_string(), DEFAULT_NAME.to_string());
-        let set_owner = WalRecord::SetOwner { username: username.clone(), name: name.clone(), owner: evil.into() };
-        assert!(encode_payload(&set_owner).is_err());
-        let set_renewable = WalRecord::SetRenewable { username, name, pattern: evil.into(), sealed: vec![] };
-        assert!(encode_payload(&set_renewable).is_err());
+        assert!(encode_payload(&WalRecord::Upsert(entry.clone())).is_err());
+        // The renewer pattern rides the same record to the same file.
+        let mut renewable = store.peek("alice", DEFAULT_NAME).unwrap();
+        renewable.renewable_by = Some(evil.into());
+        assert!(encode_payload(&WalRecord::Upsert(renewable)).is_err());
         // A snapshot of a store that holds such a string fails as a
         // whole rather than writing the extra line.
-        store.set_owner("alice", DEFAULT_NAME, evil).unwrap(); // memory-only: no journal to refuse it
+        store.insert_entry(entry); // memory-only: no journal to refuse it
         let dir = tmpdir("inject");
         assert!(store.save_snapshot(&dir, &RealVfs).is_err());
     }

@@ -492,7 +492,7 @@ impl MyProxyServer {
         }
         // The identity becomes the entry's `owner=` line; a DN may hold
         // any UTF-8, so one the line framing cannot carry is refused
-        // here, before the delegation and the first journal frame.
+        // here, before the delegation and the journal frame.
         let owner = peer.identity.to_string();
         mp_gsi::lines::check("owner", &owner)?;
         let username = request.require(field::USERNAME)?.to_string();
@@ -541,10 +541,20 @@ impl MyProxyServer {
             accept_delegation(channel, stored_lifetime, st.policy.key_bits, rng)?
         };
 
-        // Each store call commits write-ahead when durability is on; a
-        // journal failure refuses the PUT before the success response,
-        // so the client never holds an ack the disk does not.
-        st.store.put(
+        // §6.6: the renewal copy is sealed first so it rides the same
+        // record as the entry it belongs to.
+        let renewal = renewer.map(|pattern| {
+            let mut entropy = [0u8; 32];
+            rng.generate(&mut entropy);
+            let sealed =
+                SecretBox::seal(st.master_key.expose(), credential.to_pem().as_bytes(), 1, &entropy);
+            (pattern, sealed)
+        });
+        // One record, committed write-ahead when durability is on: a
+        // crash or a failover leaves the old entry or this one, never a
+        // mix, and a journal failure refuses the PUT before the success
+        // response, so the client never holds an ack the disk does not.
+        st.store.put_owned(
             &username,
             &name,
             &passphrase,
@@ -553,16 +563,10 @@ impl MyProxyServer {
             now,
             long_term,
             tags,
+            &owner,
+            renewal,
             rng,
         )?;
-        st.store.set_owner(&username, &name, &owner)?;
-        if let Some(pattern) = renewer {
-            let mut entropy = [0u8; 32];
-            rng.generate(&mut entropy);
-            let sealed =
-                SecretBox::seal(st.master_key.expose(), credential.to_pem().as_bytes(), 1, &entropy);
-            st.store.make_renewable(&username, &name, &pattern, sealed)?;
-        }
         st.stats.puts.inc();
 
         let not_after = credential

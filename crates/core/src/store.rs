@@ -16,12 +16,15 @@
 //! shard and concurrent writers to different users never contend. The
 //! attached journal (see [`crate::wal`]) shards the same way.
 //!
-//! Mutations that modify an existing entry (`set_owner`,
-//! `make_renewable`, `change_passphrase`) commit *delta* records, not
-//! full upserts: the delta is applied under the shard lock against the
-//! entry's state at apply time, so a concurrent `put`/`destroy` to the
-//! same key can no longer be silently overwritten by a stale clone
-//! (the classic read-modify-write lost update).
+//! A deposit is one record: [`CredStore::put_owned`] seals the
+//! credential and commits the whole entry — owner and renewal copy
+//! included — as a single upsert, so a crash or a failover leaves the
+//! old entry or the new one, never a mix. The one mutation that
+//! modifies an existing entry, `change_passphrase`, commits a *delta*
+//! guarded by a digest of the seal it replaces and applied under the
+//! shard lock, so a concurrent `put`/`destroy` to the same key is never
+//! silently overwritten by a stale clone (the classic
+//! read-modify-write lost update).
 
 use crate::wal::{Wal, WalRecord};
 use crate::MyProxyError;
@@ -66,6 +69,16 @@ pub(crate) fn sealed_digest(sealed: &[u8]) -> Vec<u8> {
     let mut h = mp_crypto::Sha256::new();
     h.update(sealed);
     h.finalize().to_vec()
+}
+
+/// Decrypt and parse one sealed credential. Every failure — wrong key,
+/// bytes that are not UTF-8, PEM that does not parse — is the uniform
+/// [`AUTH_FAILED`].
+fn open_sealed(key: &[u8], sealed: &[u8], iterations: u32) -> Result<Credential, MyProxyError> {
+    let refused = || MyProxyError::Refused(AUTH_FAILED.into());
+    let pem = SecretBox::open(key, sealed, iterations).map_err(|_| refused())?;
+    let pem = String::from_utf8(pem).map_err(|_| refused())?;
+    Credential::from_pem(&pem).map_err(|_| refused())
 }
 
 /// Metadata + sealed blob for one stored credential.
@@ -204,33 +217,6 @@ impl CredStore {
                     None => ApplyOutcome::touched(0),
                 }
             }
-            WalRecord::SetOwner { username, name, owner } => {
-                let Some(lock) = self.shard_for(username) else {
-                    return ApplyOutcome::touched(0);
-                };
-                let mut map = lock.write();
-                match map.get_mut(&(username.clone(), name.clone())) {
-                    Some(e) => {
-                        e.owner_identity = owner.clone();
-                        ApplyOutcome::touched(1)
-                    }
-                    None => ApplyOutcome::touched(0),
-                }
-            }
-            WalRecord::SetRenewable { username, name, pattern, sealed } => {
-                let Some(lock) = self.shard_for(username) else {
-                    return ApplyOutcome::touched(0);
-                };
-                let mut map = lock.write();
-                match map.get_mut(&(username.clone(), name.clone())) {
-                    Some(e) => {
-                        e.renewable_by = Some(pattern.clone());
-                        e.sealed_for_renewal = Some(sealed.clone());
-                        ApplyOutcome::touched(1)
-                    }
-                    None => ApplyOutcome::touched(0),
-                }
-            }
             WalRecord::Reseal { username, name, expect, sealed } => {
                 let Some(lock) = self.shard_for(username) else {
                     return ApplyOutcome::touched(0);
@@ -297,8 +283,8 @@ impl CredStore {
         }
     }
 
-    /// Seal and insert a credential, replacing any entry with the same
-    /// (username, name).
+    /// [`CredStore::put_owned`] with no recorded owner and no renewal
+    /// copy.
     #[allow(clippy::too_many_arguments)]
     pub fn put<R: Rng + ?Sized>(
         &self,
@@ -310,6 +296,42 @@ impl CredStore {
         now: u64,
         long_term: bool,
         tags: Vec<(String, String)>,
+        rng: &mut R,
+    ) -> crate::Result<()> {
+        self.put_owned(
+            username,
+            name,
+            passphrase,
+            credential,
+            retrieval_max_lifetime,
+            now,
+            long_term,
+            tags,
+            "",
+            None,
+            rng,
+        )
+    }
+
+    /// Seal and insert a credential, replacing any entry with the same
+    /// (username, name), as one journal record. `owner` is the
+    /// depositor's channel-validated DN; `renewal` marks the entry
+    /// renewable (§6.6): the DN pattern of clients allowed to renew
+    /// without the pass phrase, and the copy of the credential sealed
+    /// under the server master key that the renewal path decrypts.
+    #[allow(clippy::too_many_arguments)]
+    pub fn put_owned<R: Rng + ?Sized>(
+        &self,
+        username: &str,
+        name: &str,
+        passphrase: &str,
+        credential: &Credential,
+        retrieval_max_lifetime: u64,
+        now: u64,
+        long_term: bool,
+        tags: Vec<(String, String)>,
+        owner: &str,
+        renewal: Option<(String, Vec<u8>)>,
         rng: &mut R,
     ) -> crate::Result<()> {
         // Dominated by the PBKDF2 seal; `store.put` tracks it.
@@ -324,43 +346,30 @@ impl CredStore {
             .map(|c| c.not_after())
             .min()
             .unwrap_or(0);
+        let (renewable_by, sealed_for_renewal) = renewal.unzip();
         let entry = StoredCredential {
             username: username.to_string(),
             name: name.to_string(),
-            owner_identity: String::new(), // set by set_owner below or server
+            owner_identity: owner.to_string(),
             sealed,
             retrieval_max_lifetime,
             not_after,
             created_at: now,
             long_term,
             tags,
-            renewable_by: None,
-            sealed_for_renewal: None,
+            renewable_by,
+            sealed_for_renewal,
         };
         self.commit(WalRecord::Upsert(entry))?;
         Ok(())
     }
 
-    /// Mark an entry renewable by clients matching `pattern`, attaching
-    /// the master-key-sealed copy the renewal path decrypts. A missing
-    /// entry is a silent no-op (matching the pre-WAL behavior). The
-    /// delta record applies under the shard lock, so a concurrent
-    /// `put`/`destroy` of the same key is never clobbered by stale
-    /// state.
-    pub fn make_renewable(
-        &self,
-        username: &str,
-        name: &str,
-        pattern: &str,
-        master_sealed: Vec<u8>,
-    ) -> crate::Result<()> {
-        self.commit(WalRecord::SetRenewable {
-            username: username.to_string(),
-            name: name.to_string(),
-            pattern: pattern.to_string(),
-            sealed: master_sealed,
-        })?;
-        Ok(())
+    /// The entry under an exact key, cloned out so no caller decrypts
+    /// (PBKDF2) while holding the shard's read guard — a PUT for any
+    /// user of the shard would wait that long, and later readers queue
+    /// behind the waiting writer. A miss is the uniform [`AUTH_FAILED`].
+    fn entry_for_auth(&self, username: &str, name: &str) -> Result<StoredCredential, MyProxyError> {
+        self.peek(username, name).ok_or_else(|| MyProxyError::Refused(AUTH_FAILED.into()))
     }
 
     /// Open the renewal copy of an entry with the server master key.
@@ -371,36 +380,13 @@ impl CredStore {
         name: &str,
         master_key: &[u8],
     ) -> Result<(Credential, StoredCredential), MyProxyError> {
-        let entries = self
-            .shard_for(username)
-            .ok_or_else(|| MyProxyError::Refused(AUTH_FAILED.into()))?
-            .read();
-        let entry = entries
-            .get(&(username.to_string(), name.to_string()))
-            .ok_or_else(|| MyProxyError::Refused(AUTH_FAILED.into()))?;
+        let entry = self.entry_for_auth(username, name)?;
         let sealed = entry
             .sealed_for_renewal
             .as_ref()
             .ok_or_else(|| MyProxyError::Refused(AUTH_FAILED.into()))?;
-        let pem = SecretBox::open(master_key, sealed, 1)
-            .map_err(|_| MyProxyError::Refused(AUTH_FAILED.into()))?;
-        let pem = String::from_utf8(pem).map_err(|_| MyProxyError::Refused(AUTH_FAILED.into()))?;
-        let cred =
-            Credential::from_pem(&pem).map_err(|_| MyProxyError::Refused(AUTH_FAILED.into()))?;
-        Ok((cred, entry.clone()))
-    }
-
-    /// Set the owner identity recorded for an entry (the server calls
-    /// this with the channel's validated identity right after `put`).
-    /// A missing entry is a silent no-op. Commits a delta record —
-    /// applied atomically under the shard lock, never a stale clone.
-    pub fn set_owner(&self, username: &str, name: &str, owner: &str) -> crate::Result<()> {
-        self.commit(WalRecord::SetOwner {
-            username: username.to_string(),
-            name: name.to_string(),
-            owner: owner.to_string(),
-        })?;
-        Ok(())
+        let cred = open_sealed(master_key, sealed, 1)?;
+        Ok((cred, entry))
     }
 
     /// Open (decrypt) an entry. Wrong pass phrase, wrong name and
@@ -414,37 +400,21 @@ impl CredStore {
         // Auth failures record too — a brute-force attempt shows up as
         // a pile of `store.open` samples next to bumped denials.
         let _span = Span::enter("store.open");
-        let entries = self
-            .shard_for(username)
-            .ok_or_else(|| MyProxyError::Refused(AUTH_FAILED.into()))?
-            .read();
-        let entry = entries
-            .get(&(username.to_string(), name.to_string()))
-            .ok_or_else(|| MyProxyError::Refused(AUTH_FAILED.into()))?;
-        let pem = SecretBox::open(passphrase.as_bytes(), &entry.sealed, self.pbkdf2_iterations)
-            .map_err(|_| MyProxyError::Refused(AUTH_FAILED.into()))?;
-        let pem = String::from_utf8(pem)
-            .map_err(|_| MyProxyError::Refused(AUTH_FAILED.into()))?;
-        let cred = Credential::from_pem(&pem)
-            .map_err(|_| MyProxyError::Refused(AUTH_FAILED.into()))?;
-        Ok((cred, entry.clone()))
+        let entry = self.entry_for_auth(username, name)?;
+        let cred = open_sealed(passphrase.as_bytes(), &entry.sealed, self.pbkdf2_iterations)?;
+        Ok((cred, entry))
     }
 
     /// All entries for `username` that open under `passphrase`
     /// (myproxy-info semantics: you must authenticate to enumerate).
     pub fn list_authenticated(&self, username: &str, passphrase: &str) -> Vec<StoredCredential> {
-        let Some(lock) = self.shard_for(username) else {
-            return Vec::new();
-        };
-        let entries = lock.read();
+        // `entries_for` clones under the guard; the PBKDF2 trials run
+        // after it is dropped.
+        let mut entries = self.entries_for(username);
+        entries.retain(|e| {
+            SecretBox::open(passphrase.as_bytes(), &e.sealed, self.pbkdf2_iterations).is_ok()
+        });
         entries
-            .values()
-            .filter(|e| e.username == username)
-            .filter(|e| {
-                SecretBox::open(passphrase.as_bytes(), &e.sealed, self.pbkdf2_iterations).is_ok()
-            })
-            .cloned()
-            .collect()
     }
 
     /// Entry metadata by exact key without authentication — internal use
@@ -601,13 +571,30 @@ mod tests {
         Credential::new(vec![cert], key.clone()).unwrap()
     }
 
+    const MASTER_KEY: &[u8] = b"server master key";
+
+    /// Alice's entry as the server deposits it: owned, and renewable
+    /// through a copy sealed under [`MASTER_KEY`].
     fn store_with_alice() -> CredStore {
         let store = CredStore::new(10);
         let mut rng = test_drbg("store");
+        let cred = credential();
+        let renewal_copy = SecretBox::seal(MASTER_KEY, cred.to_pem().as_bytes(), 1, &[7; 32]);
         store
-            .put("alice", DEFAULT_NAME, "hunter2!", &credential(), 7200, 100, false, vec![], &mut rng)
+            .put_owned(
+                "alice",
+                DEFAULT_NAME,
+                "hunter2!",
+                &cred,
+                7200,
+                100,
+                false,
+                vec![],
+                "/O=Grid/CN=alice",
+                Some(("/O=Grid/CN=condor*".into(), renewal_copy)),
+                &mut rng,
+            )
             .unwrap();
-        store.set_owner("alice", DEFAULT_NAME, "/O=Grid/CN=alice").unwrap();
         store
     }
 
@@ -667,26 +654,15 @@ mod tests {
     }
 
     #[test]
-    fn set_owner_after_replacement_put_applies_to_current_entry() {
-        // The lost-update shape, single-threaded: the delta must apply
-        // to whatever the entry is at apply time, not to a stale clone.
+    fn renewal_copy_opens_under_the_master_key_only() {
         let store = store_with_alice();
-        let mut rng = test_drbg("rmw");
-        store
-            .put("alice", DEFAULT_NAME, "newpass!", &credential(), 60, 200, false, vec![], &mut rng)
-            .unwrap();
-        store.set_owner("alice", DEFAULT_NAME, "/O=Grid/CN=alice2").unwrap();
-        let entry = store.peek("alice", DEFAULT_NAME).unwrap();
-        assert_eq!(entry.owner_identity, "/O=Grid/CN=alice2");
-        assert!(store.open("alice", DEFAULT_NAME, "newpass!").is_ok(), "put not clobbered");
-    }
-
-    #[test]
-    fn set_owner_and_make_renewable_missing_entry_are_noops() {
-        let store = CredStore::new(10);
-        store.set_owner("ghost", DEFAULT_NAME, "/O=Grid/CN=ghost").unwrap();
-        store.make_renewable("ghost", DEFAULT_NAME, "/O=Grid/*", vec![1]).unwrap();
-        assert!(store.is_empty());
+        let (cred, entry) = store.open_for_renewal("alice", DEFAULT_NAME, MASTER_KEY).unwrap();
+        assert_eq!(cred.subject().to_string(), "/O=Grid/CN=alice");
+        assert_eq!(entry.renewable_by.as_deref(), Some("/O=Grid/CN=condor*"));
+        let wrong_key = store.open_for_renewal("alice", DEFAULT_NAME, b"not it").unwrap_err();
+        let missing = store.open_for_renewal("nobody", DEFAULT_NAME, MASTER_KEY).unwrap_err();
+        assert_eq!(wrong_key.to_string(), missing.to_string());
+        assert!(wrong_key.to_string().contains(AUTH_FAILED));
     }
 
     #[test]
@@ -748,7 +724,11 @@ mod tests {
             .unwrap();
         assert_eq!(store.len(), 1);
         assert!(store.open("alice", DEFAULT_NAME, "hunter2!").is_err());
-        assert!(store.open("alice", DEFAULT_NAME, "newpass!").is_ok());
+        // The replacement is the whole entry: nothing of the old one's
+        // owner or renewal copy carries over to a deposit without them.
+        let (_, entry) = store.open("alice", DEFAULT_NAME, "newpass!").unwrap();
+        assert_eq!((entry.owner_identity.as_str(), &entry.renewable_by), ("", &None));
+        assert!(store.open_for_renewal("alice", DEFAULT_NAME, MASTER_KEY).is_err());
     }
 
     #[test]

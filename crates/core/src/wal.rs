@@ -39,19 +39,19 @@
 //! duplicate renames; `crates/core/tests/crash_matrix.rs` sweeps every
 //! injection point and asserts prefix-consistent recovery per shard.
 //!
-//! Replay is idempotent: full-entry upserts, removals, purges and the
-//! delta records ([`WalRecord::SetOwner`], [`WalRecord::SetRenewable`],
-//! [`WalRecord::Reseal`] — the latter guarded by a digest of the seal
-//! it replaces, so a replayed reseal can never double-apply) reproduce
-//! the same state when replayed over a snapshot that already folded
-//! them. That property is what makes the rotation crash-window
+//! Replay is idempotent: full-entry upserts (a deposit is one of
+//! these, owner and renewal copy included), removals, purges and the
+//! one delta record ([`WalRecord::Reseal`], guarded by a digest of the
+//! seal it replaces, so a replayed reseal can never double-apply)
+//! reproduce the same state when replayed over a snapshot that already
+//! folded them. That property is what makes the rotation crash-window
 //! (snapshot written, rotated segment not yet deleted) safe, and it is
 //! pinned by a proptest.
 
 use crate::persist::CorruptEntry;
 use crate::store::{shard_index, CredStore, EntryKey, StoredCredential};
 use crate::MyProxyError;
-use mp_gsi::lines::{self, FramingError};
+use mp_gsi::lines::FramingError;
 use mp_obs::{Counter, Histogram, Registry};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -477,12 +477,12 @@ impl Vfs for CrashVfs {
 
 /// One durable mutation.
 ///
-/// `Upsert` carries the full sealed entry; the delta records
-/// (`SetOwner`, `SetRenewable`, `Reseal`) mutate one entry *at apply
-/// time*, under the shard lock — that is the lost-update fix: a
-/// mutator no longer clones an entry outside the lock and commits the
-/// stale clone as a full upsert, it commits the delta and the delta is
-/// applied atomically against whatever the entry is by then.
+/// `Upsert` carries the full sealed entry; the delta record `Reseal`
+/// mutates one entry *at apply time*, under the shard lock — that is
+/// the lost-update fix: a mutator never clones an entry outside the
+/// lock and commits the stale clone as a full upsert, it commits the
+/// delta and the delta is applied atomically against whatever the
+/// entry is by then.
 #[derive(Clone, Debug)]
 pub enum WalRecord {
     /// Insert-or-replace one entry.
@@ -493,27 +493,6 @@ pub enum WalRecord {
         username: String,
         /// Wallet name.
         name: String,
-    },
-    /// Set the owner identity of one entry (no-op if absent).
-    SetOwner {
-        /// Repository account name.
-        username: String,
-        /// Wallet name.
-        name: String,
-        /// The channel-validated DN to record.
-        owner: String,
-    },
-    /// Mark one entry renewable and attach the master-key seal
-    /// (no-op if absent).
-    SetRenewable {
-        /// Repository account name.
-        username: String,
-        /// Wallet name.
-        name: String,
-        /// DN pattern of clients allowed to renew.
-        pattern: String,
-        /// The master-key-sealed renewal copy.
-        sealed: Vec<u8>,
     },
     /// Replace the pass-phrase seal of one entry, guarded by a digest
     /// of the seal it replaces: applies only if the entry's current
@@ -548,8 +527,9 @@ pub enum WalRecord {
 const TAG_UPSERT: u8 = 1;
 const TAG_REMOVE: u8 = 2;
 const TAG_PURGE: u8 = 3;
-const TAG_SET_OWNER: u8 = 4;
-const TAG_SET_RENEWABLE: u8 = 5;
+// 4 and 5 were the owner / renewable deltas a PUT used to commit after
+// its upsert; they stay unassigned, and a journal that still holds one
+// must be folded by the build that wrote it (docs/OPERATIONS.md).
 const TAG_RESEAL: u8 = 6;
 
 /// IEEE CRC-32 (the zlib polynomial), bitwise — journal records are a
@@ -601,8 +581,9 @@ fn take_bytes(buf: &mut &[u8]) -> Option<Vec<u8>> {
 }
 
 /// The journal payload for `rec`. Strings that the next fold will
-/// write as store-file lines (a whole entry, an owner, a renewer
-/// pattern) must satisfy the line framing *here*, before the record is
+/// write as store-file lines (a whole entry, its owner and renewer
+/// pattern included) must satisfy the line framing *here*, before the
+/// record is
 /// durable: refused now, a newline costs one request; accepted, it
 /// would wedge every later fold and snapshot of the shard.
 pub(crate) fn encode_payload(rec: &WalRecord) -> Result<Vec<u8>, FramingError> {
@@ -616,21 +597,6 @@ pub(crate) fn encode_payload(rec: &WalRecord) -> Result<Vec<u8>, FramingError> {
             out.push(TAG_REMOVE);
             push_str(&mut out, username);
             push_str(&mut out, name);
-        }
-        WalRecord::SetOwner { username, name, owner } => {
-            lines::check("owner", owner)?;
-            out.push(TAG_SET_OWNER);
-            push_str(&mut out, username);
-            push_str(&mut out, name);
-            push_str(&mut out, owner);
-        }
-        WalRecord::SetRenewable { username, name, pattern, sealed } => {
-            lines::check("renewable_by", pattern)?;
-            out.push(TAG_SET_RENEWABLE);
-            push_str(&mut out, username);
-            push_str(&mut out, name);
-            push_str(&mut out, pattern);
-            push_bytes(&mut out, sealed);
         }
         WalRecord::Reseal { username, name, expect, sealed } => {
             out.push(TAG_RESEAL);
@@ -662,17 +628,6 @@ pub(crate) fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
             WalRecord::Upsert(crate::persist::entry_from_text(text).ok()?)
         }
         TAG_REMOVE => WalRecord::Remove { username: take_str(rest)?, name: take_str(rest)? },
-        TAG_SET_OWNER => WalRecord::SetOwner {
-            username: take_str(rest)?,
-            name: take_str(rest)?,
-            owner: take_str(rest)?,
-        },
-        TAG_SET_RENEWABLE => WalRecord::SetRenewable {
-            username: take_str(rest)?,
-            name: take_str(rest)?,
-            pattern: take_str(rest)?,
-            sealed: take_bytes(rest)?,
-        },
         TAG_RESEAL => WalRecord::Reseal {
             username: take_str(rest)?,
             name: take_str(rest)?,
@@ -1118,10 +1073,9 @@ impl Wal {
         let n = self.shards.len();
         match rec {
             WalRecord::Upsert(e) => shard_index(&e.username, n),
-            WalRecord::Remove { username, .. }
-            | WalRecord::SetOwner { username, .. }
-            | WalRecord::SetRenewable { username, .. }
-            | WalRecord::Reseal { username, .. } => shard_index(username, n),
+            WalRecord::Remove { username, .. } | WalRecord::Reseal { username, .. } => {
+                shard_index(username, n)
+            }
             WalRecord::Purge { shard, of, .. } => {
                 if *of == 0 {
                     0
@@ -1592,23 +1546,24 @@ mod tests {
         let mut rng = test_drbg("wal frame");
         let store = CredStore::new(10);
         store
-            .put("alice", DEFAULT_NAME, "pass!", &credential(), 7200, 100, false, vec![], &mut rng)
+            .put_owned(
+                "alice",
+                DEFAULT_NAME,
+                "pass!",
+                &credential(),
+                7200,
+                100,
+                false,
+                vec![],
+                "/O=Grid/CN=alice",
+                Some(("/O=Grid/CN=*".into(), vec![1, 2, 3])),
+                &mut rng,
+            )
             .unwrap();
         let entry = store.peek("alice", DEFAULT_NAME).unwrap();
         let records = [
-            WalRecord::Upsert(entry),
+            WalRecord::Upsert(entry.clone()),
             WalRecord::Remove { username: "alice".into(), name: "x".into() },
-            WalRecord::SetOwner {
-                username: "alice".into(),
-                name: "x".into(),
-                owner: "/O=Grid/CN=alice".into(),
-            },
-            WalRecord::SetRenewable {
-                username: "alice".into(),
-                name: "x".into(),
-                pattern: "/O=Grid/CN=*".into(),
-                sealed: vec![1, 2, 3],
-            },
             WalRecord::Reseal {
                 username: "alice".into(),
                 name: "x".into(),
@@ -1630,28 +1585,17 @@ mod tests {
             (
                 WalRecord::Upsert(e),
                 WalRecord::Remove { username, name },
-                WalRecord::SetOwner { owner, .. },
+                WalRecord::Reseal { expect, sealed, .. },
             ) => {
-                assert_eq!(e.username, "alice");
+                assert_eq!(e, &entry, "owner and renewal copy ride the upsert");
                 assert_eq!(username, "alice");
                 assert_eq!(name, "x");
-                assert_eq!(owner, "/O=Grid/CN=alice");
+                assert_eq!(expect, &vec![9; 32]);
+                assert_eq!(sealed, &vec![4, 5]);
             }
             _ => panic!("record kinds did not round-trip"),
         }
         match (&parsed[3], &parsed[4]) {
-            (
-                WalRecord::SetRenewable { pattern, sealed, .. },
-                WalRecord::Reseal { expect, sealed: new_sealed, .. },
-            ) => {
-                assert_eq!(pattern, "/O=Grid/CN=*");
-                assert_eq!(sealed, &vec![1, 2, 3]);
-                assert_eq!(expect, &vec![9; 32]);
-                assert_eq!(new_sealed, &vec![4, 5]);
-            }
-            _ => panic!("delta records did not round-trip"),
-        }
-        match (&parsed[5], &parsed[6]) {
             (
                 WalRecord::Purge { now: n1, of: 0, .. },
                 WalRecord::Purge { now: n2, shard: 3, of: 8 },
@@ -1697,14 +1641,25 @@ mod tests {
         let (store, _) = durable_store(vfs.clone(), 0);
         let mut rng = test_drbg("wal reopen");
         store
-            .put("alice", DEFAULT_NAME, "pass!", &credential(), 7200, 100, false, vec![], &mut rng)
+            .put_owned(
+                "alice",
+                DEFAULT_NAME,
+                "pass!",
+                &credential(),
+                7200,
+                100,
+                false,
+                vec![],
+                "/O=Grid/CN=alice",
+                None,
+                &mut rng,
+            )
             .unwrap();
-        store.set_owner("alice", DEFAULT_NAME, "/O=Grid/CN=alice").unwrap();
 
         let reopened_vfs = Arc::new(CrashVfs::from_image(vfs.image_synced()));
         let (restored, report) = durable_store(reopened_vfs, 0);
         assert_eq!(report.loaded, 0, "nothing compacted yet; all from journal");
-        assert_eq!(report.replayed, 2);
+        assert_eq!(report.replayed, 1, "one deposit is one record");
         let (_, entry) = restored.open("alice", DEFAULT_NAME, "pass!").unwrap();
         assert_eq!(entry.owner_identity, "/O=Grid/CN=alice");
     }

@@ -14,10 +14,13 @@
 
 use mp_crypto::HmacDrbg;
 use mp_gsi::transport::BoxedTransport;
+use mp_myproxy::client::InitParams;
 use mp_myproxy::repl::ReplConfig;
 use mp_myproxy::testutil::shard_journal_records;
 use mp_myproxy::wal::{CrashVfs, WalConfig, WalRecord};
-use mp_myproxy::{CredStore, MyProxyError, MyProxyServer, ServerPolicy, StoredCredential};
+use mp_myproxy::{
+    CredStore, MyProxyClient, MyProxyError, MyProxyServer, ServerPolicy, StoredCredential,
+};
 use mp_obs::Registry;
 use mp_x509::test_util::{test_drbg, test_rsa_key};
 use mp_x509::{Certificate, CertificateAuthority, Dn, SimClock};
@@ -75,9 +78,7 @@ fn model(applied: &[usize]) -> BTreeMap<&'static str, (&'static str, &'static st
                 m.insert("alice", ("pass-alice", ""));
             }
             1 => {
-                if let Some(e) = m.get_mut("alice") {
-                    e.1 = "/O=Grid/CN=alice";
-                }
+                m.insert("alice", ("pass-alice", "/O=Grid/CN=alice"));
             }
             2 => {
                 m.insert("bob", ("pass-bob", ""));
@@ -110,7 +111,7 @@ fn run_op(store: &CredStore, i: usize) -> Result<(), MyProxyError> {
     let name = mp_myproxy::store::DEFAULT_NAME;
     match i {
         0 => store.put("alice", name, "pass-alice", &credential_with("alice", 600_000), 7200, 100, false, vec![], &mut rng),
-        1 => store.set_owner("alice", name, "/O=Grid/CN=alice"),
+        1 => store.put_owned("alice", name, "pass-alice", &credential_with("alice", 600_000), 7200, 100, false, vec![], "/O=Grid/CN=alice", None, &mut rng),
         2 => store.put("bob", name, "pass-bob", &credential_with("bob", 600_000), 7200, 100, false, vec![], &mut rng),
         3 => store.change_passphrase("bob", name, "pass-bob", "pass-bob-2", &mut rng),
         4 => store.put("carol", name, "pass-carol", &credential_with("carol", 1_000), 7200, 100, false, vec![], &mut rng),
@@ -491,6 +492,82 @@ fn recover_repl(dir: &str, image: BTreeMap<std::path::PathBuf, Vec<u8>>) -> (Cre
         )
         .expect("recovery from a crash image must always succeed");
     (store, report)
+}
+
+/// A PUT is one journal record, so a PUT that *replaces a renewable
+/// entry* is atomic under power loss. The whole request runs through
+/// the server (delegation, pass-phrase seal, renewal seal, commit);
+/// power is cut after every filesystem mutation of the replacing PUT
+/// and both crash images must recover to the old entry intact — owner
+/// and renewal copy present — or to the new one complete. A PUT
+/// committed as upsert-then-owner-then-renewable records cannot pass:
+/// a cut between them recovers the new seal with no owner and no
+/// renewal copy, the old ones gone, and the client never acked.
+#[test]
+fn power_cut_during_a_replacing_put_recovers_old_or_new_entry_never_a_mix() {
+    const OWNER: &str = "/O=Grid/CN=alice";
+    let name = mp_myproxy::store::DEFAULT_NAME;
+    let alice = credential_with("alice", 600_000);
+    let client = MyProxyClient::new(repl_identity().1.clone(), None);
+    let put = |server: &MyProxyServer, pass: &str, renewer: &str| {
+        let mut params = InitParams::new("alice", pass);
+        params.renewer = Some(renewer.into());
+        let mut rng = test_drbg(&format!("replacing put {pass}"));
+        client.init(server.connect_local(), &alice, &params, &mut rng, 100)
+    };
+    // Deposit the old entry on a healthy disk, then arm the cut `k`
+    // mutations into the replacing PUT. Returns the old entry, whether
+    // the replacement was acked, and the filesystem.
+    let run = |k: Option<u64>| {
+        let vfs = Arc::new(CrashVfs::new());
+        let server = repl_server(b"crash replacing put");
+        server
+            .enable_durability_with(
+                Path::new(STORE_DIR),
+                vfs.clone(),
+                WalConfig { compact_every: 1, ..WalConfig::default() },
+            )
+            .unwrap();
+        put(&server, "old pass phrase", "/O=Grid/CN=condor-old").expect("old entry deposited");
+        let old = server.store().peek("alice", name).expect("old entry stored");
+        let before = vfs.mutations();
+        if let Some(k) = k {
+            vfs.set_cut_after(before + k);
+        }
+        let acked = put(&server, "new pass phrase", "/O=Grid/CN=condor-new").is_ok();
+        (old, acked, vfs.mutations() - before, vfs)
+    };
+
+    let (old, acked, total, _) = run(None);
+    assert!(acked, "dry run must ack the replacing PUT");
+    assert_eq!(old.owner_identity, OWNER);
+    assert_eq!(old.renewable_by.as_deref(), Some("/O=Grid/CN=condor-old"));
+    assert!(old.sealed_for_renewal.is_some());
+    assert!(total >= 4, "expected journal and fold injection points, got {total}");
+
+    for cut in 0..total {
+        let (old, acked, _, vfs) = run(Some(cut));
+        for (which, image) in [("torn", vfs.image_torn()), ("synced", vfs.image_synced())] {
+            let (recovered, report) = recover(image);
+            assert!(report.corrupt.is_empty(), "cut {cut} ({which}): {:?}", report.corrupt);
+            let entry = recovered
+                .peek("alice", name)
+                .unwrap_or_else(|| panic!("cut {cut} ({which}): acked entry lost"));
+            let complete_new = recovered.open("alice", name, "new pass phrase").is_ok()
+                && entry.owner_identity == OWNER
+                && entry.renewable_by.as_deref() == Some("/O=Grid/CN=condor-new")
+                && entry.sealed_for_renewal.is_some()
+                && entry.sealed_for_renewal != old.sealed_for_renewal;
+            assert!(
+                complete_new || (entry == old && !(acked && which == "synced")),
+                "cut {cut} ({which}, acked={acked}): neither the old entry intact nor the new \
+                 one complete: owner {:?}, renewable_by {:?}, renewal copy {}",
+                entry.owner_identity,
+                entry.renewable_by,
+                if entry.sealed_for_renewal.is_some() { "present" } else { "missing" },
+            );
+        }
+    }
 }
 
 /// One replicated workload run: the `run_op` sequence on the primary,

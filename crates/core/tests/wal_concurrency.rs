@@ -3,9 +3,9 @@
 //! Two properties are pinned here:
 //!
 //! 1. **No lost updates** on one hammered user key: `put`,
-//!    `make_renewable`, `set_owner` and `destroy` race freely, and the
-//!    final state must reflect the *latest* write of each field — the
-//!    old peek-clone-then-`Upsert` mutators silently resurrected stale
+//!    `change_passphrase` and `destroy` race freely, and the final
+//!    state must reflect the *latest* write — a mutator that committed
+//!    a peeked clone as a full `Upsert` would silently resurrect stale
 //!    sealed blobs here. The journal must agree: replaying the synced
 //!    crash image reproduces the live in-memory state exactly.
 //! 2. **Group commit actually batches**: under concurrent committers to
@@ -68,7 +68,7 @@ fn hammering_one_key_loses_no_updates() {
     let user = "contended";
     let cred = credential();
 
-    // Seed both keys so the metadata mutators have something to hit.
+    // Seed both keys so the racers have something to hit.
     let mut rng = test_drbg("seed");
     store
         .put(user, DEFAULT_NAME, "pass-0", &cred, 7200, 100, false, vec![], &mut rng)
@@ -93,16 +93,17 @@ fn hammering_one_key_loses_no_updates() {
         }));
     }
     {
-        // Metadata mutators racing the writer on the same key. The old
-        // implementation committed a stale full-entry clone here,
-        // silently reverting the writer's newer seal.
+        // A resealer racing the writer on the same key, re-sealing each
+        // round's entry under its own pass phrase. It is refused
+        // whenever the writer has moved on (wrong pass phrase, or the
+        // digest guard saw a newer seal); what may never happen is its
+        // reseal of an older entry replacing the writer's newer one.
         let store = store.clone();
         handles.push(std::thread::spawn(move || {
-            for i in 0..PUTS {
-                store
-                    .make_renewable(user, DEFAULT_NAME, "/O=Grid/*", vec![i as u8; 16])
-                    .unwrap();
-                store.set_owner(user, DEFAULT_NAME, "/O=Grid/CN=owner").unwrap();
+            let mut rng = test_drbg("resealer");
+            for i in 0..=PUTS {
+                let pass = format!("pass-{i}");
+                let _ = store.change_passphrase(user, DEFAULT_NAME, &pass, &pass, &mut rng);
             }
         }));
     }
@@ -127,13 +128,13 @@ fn hammering_one_key_loses_no_updates() {
         h.join().unwrap();
     }
 
-    // The last put's seal must have survived every racing metadata
-    // commit: with the lost-update bug this open fails because a stale
-    // clone (sealed under an earlier pass phrase) won the race.
+    // The last put's seal must have survived every racing reseal:
+    // with a lost update this open fails because a stale clone (sealed
+    // under an earlier pass phrase) won the race.
     let last = format!("pass-{PUTS}");
     store
         .open(user, DEFAULT_NAME, &last)
-        .unwrap_or_else(|e| panic!("last put lost to a metadata race: {e}"));
+        .unwrap_or_else(|e| panic!("last put lost to a reseal race: {e}"));
 
     // The churn key ended on a put, so it must exist and open.
     store

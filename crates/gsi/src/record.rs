@@ -13,25 +13,60 @@ use std::io::{Read, Write};
 /// payloads are small; this bounds a hostile peer.
 pub const MAX_RECORD_LEN: usize = 4 << 20;
 
-/// Validate a wire-decoded length prefix *while it is still a `u32`*,
-/// before any widening cast or allocation sees it. Returns the clamped
-/// value as `usize` only once it is known to fit under
-/// [`MAX_RECORD_LEN`].
-pub fn checked_record_len(wire: u32) -> Result<usize> {
-    if wire as u64 > MAX_RECORD_LEN as u64 {
-        return Err(GsiError::Protocol("incoming record too large".into()));
+/// The length of one frame's payload, known to fit under
+/// [`MAX_RECORD_LEN`]. The field is private and [`FrameLen::decode`]
+/// and [`FrameLen::of`] are the only constructors, so `read_frame`'s
+/// allocation cannot be sized from a length nobody bound-checked: the
+/// compiler holds what mp-lint's retired R12 taint rule used to trace.
+///
+/// ```
+/// use mp_gsi::record::FrameLen;
+/// let len = FrameLen::decode([0, 0, 0, 5]).unwrap();
+/// assert_eq!((len.get(), len.prefix()), (5, [0, 0, 0, 5]));
+/// assert!(FrameLen::decode([0xff; 4]).is_err());
+/// ```
+///
+/// A bare integer is not a frame length outside this module:
+///
+/// ```compile_fail
+/// let len = mp_gsi::record::FrameLen(5);
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FrameLen(u32);
+
+impl FrameLen {
+    /// Decode a wire prefix, bound-checked *while it is still a `u32`*,
+    /// before any widening cast or allocation sees it.
+    pub fn decode(prefix: [u8; 4]) -> Result<Self> {
+        let wire = u32::from_be_bytes(prefix);
+        if wire as u64 > MAX_RECORD_LEN as u64 {
+            return Err(GsiError::Protocol("incoming record too large".into()));
+        }
+        Ok(FrameLen(wire))
     }
-    Ok(wire as usize)
+
+    /// The length of an outgoing payload.
+    pub fn of(payload: &[u8]) -> Result<Self> {
+        match u32::try_from(payload.len()) {
+            Ok(len) if payload.len() <= MAX_RECORD_LEN => Ok(FrameLen(len)),
+            _ => Err(GsiError::Protocol("outgoing record too large".into())),
+        }
+    }
+
+    /// The payload length in bytes.
+    pub fn get(self) -> usize {
+        self.0 as usize
+    }
+
+    /// The four bytes that precede the payload on the wire.
+    pub fn prefix(self) -> [u8; 4] {
+        self.0.to_be_bytes()
+    }
 }
 
 /// Write one `u32`-length-prefixed frame.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<()> {
-    if payload.len() > MAX_RECORD_LEN {
-        return Err(GsiError::Protocol("outgoing record too large".into()));
-    }
-    let len = u32::try_from(payload.len())
-        .map_err(|_| GsiError::Protocol("outgoing record too large".into()))?;
-    w.write_all(&len.to_be_bytes())?;
+    w.write_all(&FrameLen::of(payload)?.prefix())?;
     w.write_all(payload)?;
     w.flush()?;
     Ok(())
@@ -39,10 +74,9 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<()> {
 
 /// Read one frame.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>> {
-    let mut len_buf = [0u8; 4];
-    r.read_exact(&mut len_buf)?;
-    let len = checked_record_len(u32::from_be_bytes(len_buf))?;
-    let mut payload = vec![0u8; len];
+    let mut prefix = [0u8; 4];
+    r.read_exact(&mut prefix)?;
+    let mut payload = vec![0u8; FrameLen::decode(prefix)?.get()];
     r.read_exact(&mut payload)?;
     Ok(payload)
 }
@@ -151,13 +185,19 @@ mod tests {
     fn record_len_boundary() {
         // Exactly the cap is fine; one past it is rejected while the
         // value is still a u32 — no allocation sees the raw length.
-        assert_eq!(checked_record_len(MAX_RECORD_LEN as u32).unwrap(), MAX_RECORD_LEN);
+        let decode = |wire: u32| FrameLen::decode(wire.to_be_bytes());
+        assert_eq!(decode(MAX_RECORD_LEN as u32).unwrap().get(), MAX_RECORD_LEN);
+        assert!(matches!(decode(MAX_RECORD_LEN as u32 + 1), Err(GsiError::Protocol(_))));
+        assert!(matches!(decode(u32::MAX), Err(GsiError::Protocol(_))));
+        assert_eq!(decode(0).unwrap().get(), 0);
+        // The sending side holds the same cap, and the prefix is the
+        // big-endian length either way.
+        assert_eq!(FrameLen::of(&[0u8; 300]).unwrap().prefix(), [0, 0, 1, 44]);
+        assert_eq!(FrameLen::of(&[0u8; 300]).unwrap(), decode(300).unwrap());
         assert!(matches!(
-            checked_record_len(MAX_RECORD_LEN as u32 + 1),
+            FrameLen::of(&vec![0u8; MAX_RECORD_LEN + 1]),
             Err(GsiError::Protocol(_))
         ));
-        assert!(matches!(checked_record_len(u32::MAX), Err(GsiError::Protocol(_))));
-        assert_eq!(checked_record_len(0).unwrap(), 0);
     }
 
     #[test]

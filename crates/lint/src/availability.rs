@@ -1,8 +1,9 @@
 //! Request-path availability: a connection thread must neither panic
-//! on attacker-reachable input (R1) nor silently drop the error of a
-//! protocol/store operation (R6).
+//! on attacker-reachable input (R1), nor silently truncate a length in
+//! the DER encoder or the GSI framing layer (R4), nor silently drop the
+//! error of a protocol/store operation (R6).
 
-use crate::lexer::TokenKind;
+use crate::lexer::{Token, TokenKind};
 use crate::rules::{Diagnostic, SourceFile};
 
 /// R1: panic-freedom. Flags `.unwrap()`, `.expect(`, `panic!`,
@@ -67,6 +68,39 @@ pub(crate) fn r1_panics(file: &SourceFile) -> Vec<Diagnostic> {
             },
         };
         diags.push(Diagnostic::new(&file.rel, line, "R1", message));
+    }
+    diags
+}
+
+/// R4: truncating `as u8`/`as u16`/`as u32` casts with a length-ish
+/// identifier in the preceding expression tokens.
+pub(crate) fn r4_truncating_casts(file: &SourceFile) -> Vec<Diagnostic> {
+    let tokens = file.toks();
+    let lenish = |p: &Token| {
+        let l = p.text.to_ascii_lowercase();
+        p.kind == TokenKind::Ident
+            && (matches!(
+                l.as_str(),
+                "len" | "length" | "size" | "count" | "remaining" | "capacity"
+            ) || ["_len", "_length", "_size", "_count"]
+                .iter()
+                .any(|suffix| l.ends_with(suffix)))
+    };
+    let mut diags = Vec::new();
+    for (i, pair) in tokens.windows(2).enumerate() {
+        let (t, ty) = (&pair[0], &pair[1]);
+        let truncating =
+            t.is_ident("as") && (ty.is_ident("u8") || ty.is_ident("u16") || ty.is_ident("u32"));
+        if truncating
+            && !file.parsed.test_mask[i]
+            && tokens[i.saturating_sub(8)..i].iter().any(lenish)
+        {
+            let message = format!(
+                "length value cast with `as {}` can silently truncate; use try_from with an explicit bound",
+                ty.text
+            );
+            diags.push(Diagnostic::new(&file.rel, t.line, "R4", message));
+        }
     }
     diags
 }

@@ -446,7 +446,7 @@ fn local_items(rel: &str, toks: &[Token], f: &Function, facts: &FnFacts) -> Vec<
                     name: t.text.clone(),
                     line: t.line,
                     under_guard: !call.held.is_empty(),
-                    args: call.args.len(),
+                    args: call.args,
                     dot: call.dot,
                     branch: s.branch.clone(),
                 });

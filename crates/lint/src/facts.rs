@@ -4,11 +4,12 @@
 //! ([`crate::callgraph`]) read instead of re-scanning tokens:
 //!
 //! * **bindings** — `let pat = init;` and `x = init;` with the
-//!   initialiser's token span (what the taint rules propagate over);
-//! * **calls** — each `name(..)`, with its argument spans, receiver
-//!   shape (`.name` / `Path::name`), the one [`classify`] verdict on
-//!   its name (fallible? I/O? which primitive/protocol *effects*?) and
-//!   the lock guards live at that point;
+//!   initialiser's token span (what the taint rule propagates over);
+//! * **calls** — each `name(..)`, with its argument list's extent and
+//!   arity, receiver shape (`.name` / `Path::name`), the one
+//!   [`classify`] verdict on its name (fallible? I/O? which
+//!   primitive/protocol *effects*?) and the lock guards live at that
+//!   point;
 //! * **macro invocations** — `name!(..)` with the delimited span;
 //! * **guard acquisitions** — `.lock()` / `.read()` / `.write()` with
 //!   the guards already held (the lock-order edges) — liveness is
@@ -22,7 +23,7 @@
 //! (is a tainted identifier *used* inside this span?) look at the
 //! tokens the fact points to.
 
-use crate::lexer::{Token, TokenKind};
+use crate::lexer::{matching_close, punct_at, Token, TokenKind};
 use crate::parser::{Function, ParsedFile, Stmt, StmtKind};
 
 /// The primitive operations the summary rules reason about.
@@ -177,8 +178,7 @@ const CALL_TABLE: &[(&str, bool, bool, bool)] = &[
 /// the marker).
 const MUTATE_MARKERS: &[&str] = &[
     "put",
-    "set_owner",
-    "make_renewable",
+    "put_owned",
     "destroy",
     "change_passphrase",
     "purge_expired",
@@ -275,7 +275,7 @@ const KEYWORDS: &[&str] = &[
 /// reach but prevents absurd cross-crate unions (a `HashMap::get`
 /// splicing in some unrelated `fn get`). Part of the documented
 /// conservative fallback.
-pub(crate) const RESOLVE_BLOCKLIST: &[&str] = &[
+const RESOLVE_BLOCKLIST: &[&str] = &[
     "get",
     "get_mut",
     "insert",
@@ -337,55 +337,24 @@ pub(crate) const RESOLVE_BLOCKLIST: &[&str] = &[
     "and_then",
 ];
 
-/// Is the token at `i` the punctuation `c`?
-pub(crate) fn punct_at(toks: &[Token], i: usize, c: char) -> bool {
-    toks.get(i).is_some_and(|t| t.is_punct(c))
-}
-
-/// The delimiter closing the `(`, `[` or `{` at `open`, looking no
-/// further than `limit` (exclusive). Only the opening token's own kind
-/// of bracket is counted.
-pub(crate) fn matching_close(toks: &[Token], open: usize, limit: usize) -> Option<usize> {
-    let (o, c) = match toks.get(open)?.text.as_str() {
-        "(" => ('(', ')'),
-        "[" => ('[', ']'),
-        "{" => ('{', '}'),
-        _ => return None,
-    };
+/// Top-level argument count of the call whose `(` sits at `open` and
+/// whose `)` sits at `close`.
+fn arg_count(toks: &[Token], open: usize, close: usize) -> usize {
+    if close <= open + 1 {
+        return 0;
+    }
     let mut depth = 0i32;
-    for (j, t) in toks.iter().enumerate().take(limit).skip(open) {
-        if t.is_punct(o) {
+    let mut args = 1;
+    for t in &toks[open + 1..close] {
+        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
             depth += 1;
-        } else if t.is_punct(c) {
+        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
             depth -= 1;
-            if depth == 0 {
-                return Some(j);
-            }
+        } else if t.is_punct(',') && depth == 0 {
+            args += 1;
         }
     }
-    None
-}
-
-/// Top-level argument regions `[lo, hi)` of the call whose `(` sits at
-/// `open` and whose `)` sits at `close`.
-fn arg_regions(toks: &[Token], open: usize, close: usize) -> Vec<(usize, usize)> {
-    let mut regions = Vec::new();
-    if close > open + 1 {
-        let mut depth = 0i32;
-        let mut start = open + 1;
-        for (j, t) in toks.iter().enumerate().take(close).skip(open + 1) {
-            if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                depth -= 1;
-            } else if t.is_punct(',') && depth == 0 {
-                regions.push((start, j));
-                start = j + 1;
-            }
-        }
-        regions.push((start, close));
-    }
-    regions
+    args
 }
 
 /// `.lock()` / `.read()` / `.write()` with an *empty* argument list — a
@@ -460,8 +429,8 @@ pub struct Call {
     /// The matching `)`; `None` when it lies past the statement (a
     /// closure body among the arguments).
     pub close: Option<usize>,
-    /// Top-level argument regions (empty when `close` is `None`).
-    pub args: Vec<(usize, usize)>,
+    /// Top-level argument count (0 when `close` is `None`).
+    pub args: usize,
     /// Preceded by `.` — a method call.
     pub dot: bool,
     /// Token index of the path segment before `::name`.
@@ -641,7 +610,7 @@ fn call_at(toks: &[Token], i: usize, en: usize, in_fn: &str, held: Vec<usize>) -
         && toks[i - 3].kind == TokenKind::Ident)
         .then(|| i - 3);
     let close = matching_close(toks, i + 1, en);
-    let args = close.map(|c| arg_regions(toks, i + 1, c)).unwrap_or_default();
+    let args = close.map_or(0, |c| arg_count(toks, i + 1, c));
     // Any token in the argument region names a tmp staging path: a
     // `tmp`-containing identifier or a `.tmp` string literal.
     let mentions_tmp = || {
@@ -654,7 +623,7 @@ fn call_at(toks: &[Token], i: usize, en: usize, in_fn: &str, held: Vec<usize>) -
         })
     };
     let mut class =
-        classify(name, dot, qual.map(|q| toks[q].text.as_str()), args.len(), mentions_tmp);
+        classify(name, dot, qual.map(|q| toks[q].text.as_str()), args, mentions_tmp);
     // A `Vfs` impl named `rename` calling `fs::rename` is the
     // primitive's *implementation*, not a use site: same-named
     // wrappers never observe their own effects.

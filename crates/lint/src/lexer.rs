@@ -59,6 +59,35 @@ impl Token {
     }
 }
 
+/// Is the token at `i` the punctuation `c`?
+pub(crate) fn punct_at(toks: &[Token], i: usize, c: char) -> bool {
+    toks.get(i).is_some_and(|t| t.is_punct(c))
+}
+
+/// The delimiter closing the `(`, `[` or `{` at `open`, looking no
+/// further than `limit` (exclusive). Only the opening token's own kind
+/// of bracket is counted.
+pub(crate) fn matching_close(toks: &[Token], open: usize, limit: usize) -> Option<usize> {
+    let (o, c) = match toks.get(open)?.text.as_str() {
+        "(" => ('(', ')'),
+        "[" => ('[', ']'),
+        "{" => ('{', '}'),
+        _ => return None,
+    };
+    let mut depth = 0i32;
+    for (j, t) in toks.iter().enumerate().take(limit).skip(open) {
+        if t.is_punct(o) {
+            depth += 1;
+        } else if t.is_punct(c) {
+            depth -= 1;
+            if depth == 0 {
+                return Some(j);
+            }
+        }
+    }
+    None
+}
+
 /// A comment, for `lint:allow` annotation parsing.
 #[derive(Debug, Clone)]
 pub struct Comment {

@@ -2,7 +2,7 @@
 //!
 //! A from-scratch static analyzer for this workspace, built on a
 //! purpose-built Rust lexer and statement-level parser (no `syn`, no
-//! proc-macros, no dependencies at all). It enforces thirteen rules
+//! proc-macros, no dependencies at all). It enforces twelve rules
 //! derived from the MyProxy paper's §5 security analysis, as one
 //! pipeline: each file is lexed and parsed once ([`parser`]), each
 //! function is walked once into an ordered fact stream ([`facts`]),
@@ -21,9 +21,8 @@
 //! - **R3 constant-time discipline** — digests/MACs/tags are never
 //!   compared with `==`/`!=`; `mp_crypto::ct_eq` is the only accepted
 //!   comparison.
-//! - **R4 wire-length safety** ([`wire`]) — no truncating
-//!   `as u8/u16/u32` casts on length arithmetic in the DER encoder and
-//!   the GSI wire layer.
+//! - **R4 wire-length safety** — no truncating `as u8/u16/u32` casts
+//!   on length arithmetic in the DER encoder and the GSI wire layer.
 //! - **R5 secret taint** — values from `Secret::expose`, secret-named
 //!   parameters, or PBKDF2 output may not reach format macros, wire
 //!   writes, `#[derive(Debug)]` literals, or non-`Secret` returns, even
@@ -42,10 +41,6 @@
 //!   persistence paths need a directory fsync behind them.
 //! - **R11 deadline coverage** — socket I/O reachable from a serve
 //!   loop must be dominated by a deadline arm/re-arm.
-//! - **R12 wire-bounds taint** — lengths decoded from the wire must
-//!   pass a clamp before reaching an allocation (`with_capacity`,
-//!   `vec![_; n]`, `reserve`/`resize`, `read_exact`), traced
-//!   inter-procedurally with the decode-to-allocation path.
 //! - **R13 channel/WAL typestate** — handshake before payload,
 //!   BUSY/shed terminal, no store mutation before WAL attach on paths
 //!   where the attach is visible.
@@ -53,35 +48,29 @@
 //!   rename/removal behind them, handler registrations in crates that
 //!   never drain, request I/O under a stale pre-handshake deadline.
 //!
-//! (R10 and R14 are retired: rustc checks what they policed — see
+//! (R10, R12 and R14 are retired: rustc checks what they policed — see
 //! [`rules`].)
 //!
 //! Violations can be waived per line with
 //! `// lint:allow(<rule>) <reason>` — the reason is mandatory; an
 //! allow without one is itself reported. The total waiver count is
 //! pinned by `lint-waivers.budget`, and a waiver is the only way to
-//! silence a finding. [`gate_workspace`] also builds a SARIF-lite JSON
-//! report validated against `docs/mp-lint.sarif-lite.schema.json`.
+//! silence a finding.
 //!
 //! The analyzer runs as a normal test: `cargo test -p mp-lint` walks
 //! the workspace from `CARGO_MANIFEST_DIR/../..` and fails listing
-//! every `file:line` finding. The same gate is available as a binary:
-//! `cargo run -p mp-lint` (`--json`, `--check-waiver-budget`).
+//! every finding as `file:line: [rule] message`.
 
 pub mod availability;
 pub mod callgraph;
 pub mod facts;
-pub mod json;
 pub mod lexer;
 pub mod locks;
 pub mod parser;
 pub mod protocol;
 pub mod rules;
-pub mod sarif;
-pub mod schema;
 pub mod secrets;
 pub mod waivers;
-pub mod wire;
 
 pub use rules::{rules_for_path, Diagnostic, RuleSet, SourceFile, TaintStep};
 
@@ -186,34 +175,14 @@ pub fn check_source(file: &str, src: &str, rules: RuleSet) -> Vec<Diagnostic> {
 }
 
 /// Lint every in-scope `.rs` file under `root` (the workspace root).
-/// Returns all diagnostics, sorted by file then line.
+/// Returns all diagnostics, sorted by file then line; the gate passes
+/// iff there are none.
 pub fn run_workspace(root: &Path) -> Vec<Diagnostic> {
     let files: Vec<(String, String, RuleSet)> = scoped_files(root)
         .into_iter()
         .filter_map(|(rel, path, rules)| Some((rel, std::fs::read_to_string(path).ok()?, rules)))
         .collect();
     check_files(&files)
-}
-
-/// Gate outcome: every unwaived finding, plus the SARIF-lite report.
-pub struct GateResult {
-    pub findings: Vec<Diagnostic>,
-    /// The full SARIF-lite document for all findings.
-    pub sarif: json::Value,
-}
-
-impl GateResult {
-    /// The gate passes iff nothing fired.
-    pub fn passed(&self) -> bool {
-        self.findings.is_empty()
-    }
-}
-
-/// Run the full workspace gate: lint and build the SARIF-lite report.
-pub fn gate_workspace(root: &Path) -> GateResult {
-    let findings = run_workspace(root);
-    let sarif = sarif::report(&findings);
-    GateResult { findings, sarif }
 }
 
 /// The workspace root, resolved from this crate's manifest directory.
@@ -268,9 +237,9 @@ mod tests {
         assert!(rs.has("R1"), "replication wire surface is in the panic-free gate");
         assert!(rs.has("R9") && rs.has("R13"), "ship-after-fsync ordering and stream typestate in scope");
 
-        let typestate = ["R12", "R13", "R15"];
+        let typestate = ["R13", "R15"];
         assert_eq!(applied("crates/core/src/server.rs", &typestate), typestate);
-        assert_eq!(applied("crates/gsi/src/record.rs", &typestate), typestate, "framing: taint too");
+        assert_eq!(applied("crates/gsi/src/record.rs", &typestate), typestate, "framing too");
         assert_eq!(applied("crates/cli/src/bin/myproxy.rs", &typestate), [""; 0], "cli decodes no frames");
         assert_eq!(applied("crates/obs/src/registry.rs", &typestate), [""; 0], "obs out of scope");
         assert_eq!(applied("crates/core/tests/robustness.rs", &typestate), [""; 0], "tests out");

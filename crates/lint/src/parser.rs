@@ -3,7 +3,9 @@
 //! The rules need more structure than a flat token stream: *which
 //! tokens are test code*, *which function am I in*, *what are its
 //! parameters and return type*, *where does one statement end and the
-//! next begin*. This module recovers exactly that — and nothing more.
+//! next begin*, *which structs does the file declare, with what
+//! derives and fields*. This module recovers exactly that — and
+//! nothing more.
 //! It does not build expression trees or resolve types; statements are
 //! token ranges with byte/line spans, which is what the per-function
 //! fact walk ([`crate::facts`]) consumes.
@@ -13,7 +15,7 @@
 //! round-trips — slicing the original source at a reported byte span
 //! yields the text the tokens came from.
 
-use crate::lexer::{lex, Lexed, Token, TokenKind};
+use crate::lexer::{lex, matching_close, punct_at, Lexed, Token, TokenKind};
 
 /// A parse failure. The lexer tolerates anything, so the only failures
 /// are structural: a function body whose braces never balance.
@@ -103,12 +105,42 @@ pub struct Function {
     pub impl_trait: Option<String>,
 }
 
-/// A parsed file: the lex result, the test mask, and every function.
+/// One named field of a struct.
+#[derive(Debug, Clone)]
+pub struct Field {
+    pub name: String,
+    /// Type text, tokens joined without spaces.
+    pub ty: String,
+    pub line: u32,
+}
+
+/// One `struct` item.
+#[derive(Debug, Clone)]
+pub struct Struct {
+    pub name: String,
+    /// Every trait named by a `derive(..)` among the item's attributes.
+    pub derives: Vec<String>,
+    /// Named fields, in source order (none for unit and tuple structs).
+    pub fields: Vec<Field>,
+    /// True if the item sits in `#[test]`/`#[cfg(test)]` code.
+    pub is_test: bool,
+}
+
+impl Struct {
+    /// Does a `derive(..)` on the item name `trait_name`?
+    pub fn derives(&self, trait_name: &str) -> bool {
+        self.derives.iter().any(|d| d == trait_name)
+    }
+}
+
+/// A parsed file: the lex result, the test mask, every function and
+/// every struct item.
 #[derive(Debug)]
 pub struct ParsedFile {
     pub lexed: Lexed,
     pub test_mask: Vec<bool>,
     pub functions: Vec<Function>,
+    pub structs: Vec<Struct>,
     /// Set when a function body's braces never balance: `functions` is
     /// empty then, but the tokens and mask still serve the token rules.
     pub error: Option<ParseError>,
@@ -123,7 +155,8 @@ pub fn parse(src: &str) -> ParsedFile {
         Ok(functions) => (functions, None),
         Err(e) => (Vec::new(), Some(e)),
     };
-    ParsedFile { lexed, test_mask, functions, error }
+    let structs = parse_structs(&lexed.tokens, &test_mask);
+    ParsedFile { lexed, test_mask, functions, structs, error }
 }
 
 /// [`parse`], with the structural error (a function whose brace
@@ -144,25 +177,10 @@ fn test_mask(tokens: &[Token]) -> Vec<bool> {
     let mut mask = vec![false; tokens.len()];
     let mut i = 0usize;
     while i < tokens.len() {
-        if tokens[i].is_punct('#') && i + 1 < tokens.len() && tokens[i + 1].is_punct('[') {
+        if tokens[i].is_punct('#') && punct_at(tokens, i + 1, '[') {
             // Scan the attribute to its closing ']'.
-            let mut depth = 0i32;
-            let mut j = i + 1;
-            let mut saw_test = false;
-            while j < tokens.len() {
-                if tokens[j].is_punct('[') {
-                    depth += 1;
-                } else if tokens[j].is_punct(']') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                } else if tokens[j].is_ident("test") {
-                    saw_test = true;
-                }
-                j += 1;
-            }
-            if saw_test {
+            let j = matching_close(tokens, i + 1, tokens.len()).unwrap_or(tokens.len());
+            if tokens[i + 1..j].iter().any(|t| t.is_ident("test")) {
                 // Find the following `{` (the fn/mod body) and mark
                 // through its matching `}`. Intervening attributes and
                 // signatures are marked too.
@@ -185,8 +203,6 @@ fn test_mask(tokens: &[Token]) -> Vec<bool> {
                     }
                     k += 1;
                 }
-                i = j + 1;
-                continue;
             }
             i = j + 1;
             continue;
@@ -211,29 +227,7 @@ fn parse_functions(tokens: &[Token], mask: &[bool]) -> Result<Vec<Function>, Par
         }
         let fn_tok = i;
         let name = tokens[i + 1].text.clone();
-        let mut j = i + 2;
-
-        // Skip generics `<...>`; a `>` that is the tail of a glued `->`
-        // (closure bounds like `Fn() -> u8`) does not close the list.
-        if tokens.get(j).map(|t| t.is_punct('<')).unwrap_or(false) {
-            let mut depth = 0i32;
-            while j < tokens.len() {
-                let t = &tokens[j];
-                if t.is_punct('<') {
-                    depth += 1;
-                } else if t.is_punct('>') {
-                    let arrow = j > 0 && tokens[j - 1].is_punct('-') && tokens[j - 1].glues_with(t);
-                    if !arrow {
-                        depth -= 1;
-                        if depth == 0 {
-                            j += 1;
-                            break;
-                        }
-                    }
-                }
-                j += 1;
-            }
-        }
+        let mut j = skip_generics(tokens, i + 2);
 
         // Parameter list.
         let mut params = Vec::new();
@@ -287,22 +281,7 @@ fn parse_functions(tokens: &[Token], mask: &[bool]) -> Result<Vec<Function>, Par
 
         // Body: match braces.
         let body_open = j;
-        let mut depth = 0i32;
-        let mut k = j;
-        let mut body_close = None;
-        while k < tokens.len() {
-            if tokens[k].is_punct('{') {
-                depth += 1;
-            } else if tokens[k].is_punct('}') {
-                depth -= 1;
-                if depth == 0 {
-                    body_close = Some(k);
-                    break;
-                }
-            }
-            k += 1;
-        }
-        let Some(close) = body_close else {
+        let Some(close) = matching_close(tokens, body_open, tokens.len()) else {
             return Err(ParseError {
                 line: tokens[body_open].line,
                 what: format!("unbalanced braces in body of fn {name}"),
@@ -336,6 +315,32 @@ fn parse_functions(tokens: &[Token], mask: &[bool]) -> Result<Vec<Function>, Par
     Ok(out)
 }
 
+/// The index just past the generics list `<...>` opening at `j` (`j`
+/// itself when there is none). A `>` that is the tail of a glued `->`
+/// (closure bounds like `Fn() -> u8`) does not close the list.
+fn skip_generics(tokens: &[Token], mut j: usize) -> usize {
+    if !punct_at(tokens, j, '<') {
+        return j;
+    }
+    let mut depth = 0i32;
+    while j < tokens.len() {
+        let t = &tokens[j];
+        if t.is_punct('<') {
+            depth += 1;
+        } else if t.is_punct('>') {
+            let arrow = j > 0 && tokens[j - 1].is_punct('-') && tokens[j - 1].glues_with(t);
+            if !arrow {
+                depth -= 1;
+                if depth == 0 {
+                    return j + 1;
+                }
+            }
+        }
+        j += 1;
+    }
+    j
+}
+
 /// Find every `impl Trait for Type { .. }` block and report its body
 /// token range plus the trait name (the last angle-depth-0 path ident
 /// before the `for`). Inherent impls (`impl Type { .. }`) have no
@@ -350,27 +355,7 @@ fn impl_ranges(tokens: &[Token]) -> Vec<(usize, usize, String)> {
             i += 1;
             continue;
         }
-        let mut j = i + 1;
-        // Skip generics `<...>` right after `impl`.
-        if tokens.get(j).map(|t| t.is_punct('<')).unwrap_or(false) {
-            let mut depth = 0i32;
-            while j < tokens.len() {
-                let t = &tokens[j];
-                if t.is_punct('<') {
-                    depth += 1;
-                } else if t.is_punct('>') {
-                    let arrow = j > 0 && tokens[j - 1].is_punct('-') && tokens[j - 1].glues_with(t);
-                    if !arrow {
-                        depth -= 1;
-                        if depth == 0 {
-                            j += 1;
-                            break;
-                        }
-                    }
-                }
-                j += 1;
-            }
-        }
+        let j = skip_generics(tokens, i + 1);
         // Scan the trait path up to a depth-0 `for`; `impl Trait` in
         // type position never reaches a `for` before `{`/`;` and is
         // skipped because `saw_for` stays false.
@@ -409,20 +394,7 @@ fn impl_ranges(tokens: &[Token]) -> Vec<(usize, usize, String)> {
             continue;
         }
         let open = k;
-        let mut bd = 0i32;
-        let mut close = None;
-        while k < tokens.len() {
-            if tokens[k].is_punct('{') {
-                bd += 1;
-            } else if tokens[k].is_punct('}') {
-                bd -= 1;
-                if bd == 0 {
-                    close = Some(k);
-                    break;
-                }
-            }
-            k += 1;
-        }
+        let close = matching_close(tokens, open, tokens.len());
         if let (true, Some(name), Some(c)) = (saw_for, last_ident, close) {
             out.push((open, c, name));
         }
@@ -431,6 +403,102 @@ fn impl_ranges(tokens: &[Token]) -> Vec<(usize, usize, String)> {
         i = open + 1;
     }
     out
+}
+
+/// Every `struct Name` item, at any nesting level. The attributes and
+/// visibility in front of the keyword belong to the item: `derives`
+/// collects what their `derive(..)` lists name.
+fn parse_structs(tokens: &[Token], mask: &[bool]) -> Vec<Struct> {
+    let mut out = Vec::new();
+    // Derives of the attributes seen since the last token that was
+    // neither an attribute nor a visibility modifier.
+    let mut derives: Vec<String> = Vec::new();
+    let mut i = 0usize;
+    while i < tokens.len() {
+        let t = &tokens[i];
+        if t.is_punct('#') && punct_at(tokens, i + 1, '[') {
+            let close = matching_close(tokens, i + 1, tokens.len()).unwrap_or(tokens.len());
+            let attr = &tokens[i + 2..close];
+            if let Some(d) = attr.iter().position(|t| t.is_ident("derive")) {
+                let listed = attr[d + 1..].iter().filter(|t| t.kind == TokenKind::Ident);
+                derives.extend(listed.map(|t| t.text.clone()));
+            }
+            i = close + 1;
+        } else if t.is_ident("pub") {
+            // `pub` or `pub(crate)` / `pub(in path)`.
+            i = matching_close(tokens, i + 1, tokens.len()).unwrap_or(i) + 1;
+        } else if t.is_ident("struct")
+            && tokens.get(i + 1).is_some_and(|n| n.kind == TokenKind::Ident)
+        {
+            // The body opens at the first `{`; a `;` first means a unit
+            // or tuple struct with nothing named to list.
+            let mut open = i + 2;
+            while open < tokens.len() && !tokens[open].is_punct('{') && !tokens[open].is_punct(';') {
+                open += 1;
+            }
+            let (fields, end) = if punct_at(tokens, open, '{') {
+                struct_fields(tokens, open)
+            } else {
+                (Vec::new(), open)
+            };
+            out.push(Struct {
+                name: tokens[i + 1].text.clone(),
+                derives: std::mem::take(&mut derives),
+                fields,
+                is_test: mask[i],
+            });
+            i = end + 1;
+        } else {
+            derives.clear();
+            i += 1;
+        }
+    }
+    out
+}
+
+/// The named fields of the struct body opening at `open`, and the
+/// index of the body's closing brace.
+fn struct_fields(tokens: &[Token], open: usize) -> (Vec<Field>, usize) {
+    let mut fields = Vec::new();
+    let mut depth = 0i32;
+    let mut k = open;
+    while k < tokens.len() {
+        if tokens[k].is_punct('{') {
+            depth += 1;
+        } else if tokens[k].is_punct('}') {
+            depth -= 1;
+            if depth == 0 {
+                break;
+            }
+        } else if depth == 1
+            && tokens[k].kind == TokenKind::Ident
+            && punct_at(tokens, k + 1, ':')
+            // exclude `::` paths
+            && !(punct_at(tokens, k + 2, ':') && tokens[k + 1].glues_with(&tokens[k + 2]))
+        {
+            // Field type: tokens until `,` or closing `}` at depth 1.
+            let mut ty = String::new();
+            let mut m = k + 2;
+            let mut tdepth = 0i32;
+            while m < tokens.len() {
+                let tm = &tokens[m];
+                if tm.is_punct('<') || tm.is_punct('(') || tm.is_punct('[') {
+                    tdepth += 1;
+                } else if tm.is_punct('>') || tm.is_punct(')') || tm.is_punct(']') {
+                    tdepth -= 1;
+                } else if (tm.is_punct(',') && tdepth == 0) || (tm.is_punct('}') && tdepth <= 0) {
+                    break;
+                }
+                ty.push_str(&tm.text);
+                m += 1;
+            }
+            fields.push(Field { name: tokens[k].text.clone(), ty, line: tokens[k].line });
+            k = m;
+            continue;
+        }
+        k += 1;
+    }
+    (fields, k)
 }
 
 /// Split a parameter-list token slice at top-level commas and extract
@@ -732,6 +800,36 @@ mod tests {
         assert_eq!(by_name("helper").impl_trait, None);
         assert_eq!(by_name("fmt").impl_trait.as_deref(), Some("Display"));
         assert_eq!(by_name("free").impl_trait, None);
+    }
+
+    #[test]
+    fn structs_carry_derives_and_named_fields() {
+        let p = parse(
+            "/// Docs.\n#[derive(Clone, Debug)]\n#[repr(C)]\npub(crate) struct Creds<'a> {\n    \
+                 pub user: &'a str,\n    passphrase: Secret<String>,\n    tags: Vec<(String, u8)>,\n}\n\
+             #[derive(Debug)]\nenum E { A }\nstruct Plain { n: std::num::NonZeroU8 }\n\
+             #[derive(PartialEq)]\nstruct Wrapper(Vec<u8>);\n\
+             #[cfg(test)]\nmod tests {\n    #[derive(Debug)]\n    struct T { x: u8 }\n}\n",
+        );
+        let shape: Vec<String> = p
+            .structs
+            .iter()
+            .map(|s| {
+                let fields: Vec<String> =
+                    s.fields.iter().map(|f| format!("{}: {} @{}", f.name, f.ty, f.line)).collect();
+                format!("{} {:?} {:?} test={}", s.name, s.derives, fields, s.is_test)
+            })
+            .collect();
+        assert_eq!(
+            shape,
+            [
+                r#"Creds ["Clone", "Debug"] ["user: &'astr @5", "passphrase: Secret<String> @6", "tags: Vec<(String,u8)> @7"] test=false"#,
+                // The enum's derive does not leak onto the next struct.
+                r#"Plain [] ["n: std::num::NonZeroU8 @11"] test=false"#,
+                r#"Wrapper ["PartialEq"] [] test=false"#,
+                r#"T ["Debug"] ["x: u8 @17"] test=true"#,
+            ]
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The rule table: every rule the analyzer knows, keyed to the paper's
 //! §5 security analysis, with the path prefixes it applies to and the
 //! function that runs it. Scope selection ([`rules_for_path`]), the
-//! dispatcher ([`crate::check_files`]), the SARIF summary keys and the
-//! fixture harness's coverage check are all derived from [`RULES`].
+//! dispatcher ([`crate::check_files`]) and the fixture harness's
+//! coverage check are all derived from [`RULES`].
 //!
 //! | rule | property | §5 claim it protects |
 //! |------|----------|----------------------|
@@ -16,14 +16,16 @@
 //! | R8   | nothing blocking reachable from a pool worker | bounded serving substrate stays bounded |
 //! | R9   | WAL-append → fsync → ack; rename → dir fsync | an acknowledged deposit survives a crash |
 //! | R11  | socket I/O is dominated by a deadline arm | a stalled peer cannot park a thread forever |
-//! | R12  | wire-decoded lengths are clamped before allocating | fail-closed wire handling |
 //! | R13  | handshake before payload, BUSY terminal, WAL attach before mutation | protocol states are never skipped |
 //! | R15  | tmp files, handler registrations and deadlines are released | no slow resource leak under hostile traffic |
 //!
-//! R10 (Relaxed-only stats atomics) and R14 (dispatch exhaustiveness)
-//! are retired: the compiler owns both checks now (`mp_obs::RelaxedU64`
-//! takes no ordering; the `Command` matches have no wildcard arm). See
-//! `docs/STATIC_ANALYSIS.md`.
+//! R10 (Relaxed-only stats atomics), R12 (wire-decoded lengths clamped
+//! before allocating) and R14 (dispatch exhaustiveness) are retired:
+//! the compiler owns all three checks now (`mp_obs::RelaxedU64` takes
+//! no ordering; `mp_gsi::record::FrameLen` is the only value
+//! `read_frame` allocates from and only its bound-checking
+//! constructors make one; the `Command` matches have no wildcard arm).
+//! See `docs/STATIC_ANALYSIS.md`.
 
 use std::cell::OnceCell;
 
@@ -32,7 +34,7 @@ use crate::facts::{self, FnFacts};
 use crate::lexer::Token;
 use crate::parser::{self, Function, ParsedFile};
 use crate::waivers::{parse_allows, Allow};
-use crate::{availability, locks, protocol, secrets, wire};
+use crate::{availability, locks, protocol, secrets};
 
 /// One hop in a taint or call path: how a value (or an effect)
 /// traveled from its origin to the finding's sink.
@@ -120,8 +122,8 @@ pub type Scope<'a> = &'a dyn Fn(&str) -> bool;
 pub enum Runner {
     /// One file at a time: token patterns, or per-function facts.
     File(fn(&SourceFile) -> Vec<Diagnostic>),
-    /// Every in-scope file at once: cross-function flows that build
-    /// their own summaries (lock-order graph, wire-length taint).
+    /// Every in-scope file at once: the cross-function lock-order
+    /// graph.
     Files(fn(&[&SourceFile]) -> Vec<Diagnostic>),
     /// The converged effect summaries of the shared call graph.
     Summaries(fn(&CallGraph, Scope) -> Vec<Diagnostic>),
@@ -180,7 +182,7 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "R4",
         scope: &["crates/asn1/src/", "crates/gsi/src/wire.rs", "crates/gsi/src/record.rs"],
-        run: Runner::File(wire::r4_truncating_casts),
+        run: Runner::File(availability::r4_truncating_casts),
     },
     // Same blast radius as R3, plus mp-obs: a metric name or trace
     // label derived from a secret would leak it on every scrape.
@@ -216,9 +218,6 @@ pub const RULES: &[Rule] = &[
         scope: &[CORE, GRAM, PORTAL, CLI],
         run: Runner::Summaries(protocol::r11_deadlines),
     },
-    // Every crate that decodes frames or feeds decoded lengths into
-    // allocations.
-    Rule { id: "R12", scope: SERVICE, run: Runner::Files(wire::r12_wire_bounds) },
     // The crates that drive channels or mutate stores.
     Rule { id: "R13", scope: SERVICE, run: Runner::Summaries(protocol::r13_typestate) },
     // The crates that stage tmp files, register handlers, or arm
@@ -335,6 +334,9 @@ mod tests {
         let src = "#[derive(Clone, Debug)]\nstruct Creds {\n    username: String,\n    passphrase: String,\n}\n";
         let d = check_source("t.rs", src, token_rules());
         // Two findings: Debug derive + missing Drop.
+        assert_eq!(lines_with(&d, "R2"), vec![4, 4]);
+        // The derive belongs to the item, visibility or not.
+        let d = check_source("t.rs", &src.replace("struct", "pub(crate) struct"), token_rules());
         assert_eq!(lines_with(&d, "R2"), vec![4, 4]);
     }
 

@@ -21,15 +21,16 @@
 //!   and disk writes, `Debug`-deriving struct literals, and returning
 //!   a tainted value from a function whose type is not `Secret`.
 //!
-//! R5 shares nothing but small helpers with the other taint rule, R12
-//! (wire lengths, [`crate::wire`]): R5 is flow-sensitive and kills
-//! taint on re-assignment and re-wrapping, R12 is flow-insensitive
-//! about sanitization and inter-procedural with parameter origins — a
-//! common propagation core would have to branch on which rule called
-//! it at every step, so they stay apart.
+//! R5 is the analyzer's one taint engine. (The wire-length taint rule
+//! R12 is retired: `mp_gsi::record::FrameLen` made its one product
+//! sink a type error.)
+//!
+//! The struct-shaped halves of R2 and R5 (which structs hold a
+//! secret-named field, which derive `Debug`) read the parser's struct
+//! list ([`crate::parser::Struct`]).
 
-use crate::facts::{matching_close, punct_at, Call, Fact, FnFacts};
-use crate::lexer::{Token, TokenKind};
+use crate::facts::{Call, Fact, FnFacts};
+use crate::lexer::{matching_close, punct_at, Token, TokenKind};
 use crate::parser::{Function, Stmt, StmtKind};
 use crate::rules::{Diagnostic, SourceFile, TaintStep};
 use std::collections::HashMap;
@@ -179,88 +180,11 @@ pub(crate) fn format_captures(s: &str) -> Vec<String> {
     out
 }
 
-/// Do the attributes immediately before token `i` include a
-/// `derive(.. Debug ..)`? (Comments are not tokens, so doc comments in
-/// between are skipped for free.)
-fn derives_debug_before(tokens: &[Token], i: usize) -> bool {
-    let mut k = i;
-    while k >= 2 && tokens[k - 1].is_punct(']') {
-        // Walk back to the `[` matching this `]`; the `#` sits before it.
-        let mut depth = 0i32;
-        let mut m = k - 1;
-        loop {
-            if tokens[m].is_punct(']') {
-                depth += 1;
-            } else if tokens[m].is_punct('[') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            if m == 0 {
-                break;
-            }
-            m -= 1;
-        }
-        let attr = &tokens[m.saturating_sub(1)..k];
-        if attr.iter().any(|t| t.is_ident("derive")) && attr.iter().any(|t| t.is_ident("Debug")) {
-            return true;
-        }
-        k = m.saturating_sub(1);
-    }
-    false
-}
-
-/// The named fields of the struct body opening at `open`, as (name,
-/// type text, line), and the index of the body's closing brace.
-fn struct_fields(tokens: &[Token], open: usize) -> (Vec<(&str, String, u32)>, usize) {
-    let mut fields = Vec::new();
-    let mut depth = 0i32;
-    let mut k = open;
-    while k < tokens.len() {
-        if tokens[k].is_punct('{') {
-            depth += 1;
-        } else if tokens[k].is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-        } else if depth == 1
-            && tokens[k].kind == TokenKind::Ident
-            && punct_at(tokens, k + 1, ':')
-            // exclude `::` paths
-            && !(punct_at(tokens, k + 2, ':') && tokens[k + 1].glues_with(&tokens[k + 2]))
-        {
-            // Field type: tokens until `,` or closing `}` at depth 1.
-            let mut ty = String::new();
-            let mut m = k + 2;
-            let mut tdepth = 0i32;
-            while m < tokens.len() {
-                let tm = &tokens[m];
-                if tm.is_punct('<') || tm.is_punct('(') || tm.is_punct('[') {
-                    tdepth += 1;
-                } else if tm.is_punct('>') || tm.is_punct(')') || tm.is_punct(']') {
-                    tdepth -= 1;
-                } else if (tm.is_punct(',') && tdepth == 0) || (tm.is_punct('}') && tdepth <= 0) {
-                    break;
-                }
-                ty.push_str(&tm.text);
-                m += 1;
-            }
-            fields.push((tokens[k].text.as_str(), ty, tokens[k].line));
-            k = m;
-            continue;
-        }
-        k += 1;
-    }
-    (fields, k)
-}
-
 /// R2 (at-rest part): a struct with a secret-named field must either
 /// store it as a zeroizing `Secret<..>` type or carry an `impl Drop`
 /// in the same file, and must not `#[derive(Debug)]`.
 fn rule_r2_structs(file: &SourceFile, diags: &mut Vec<Diagnostic>) {
-    let (tokens, mask) = (file.toks(), &file.parsed.test_mask);
+    let tokens = file.toks();
     // Names with `impl Drop for Name` in this file.
     let has_drop: Vec<&str> = tokens
         .windows(4)
@@ -269,45 +193,28 @@ fn rule_r2_structs(file: &SourceFile, diags: &mut Vec<Diagnostic>) {
         .map(|w| w[3].text.as_str())
         .collect();
 
-    let mut i = 0usize;
-    while i + 1 < tokens.len() {
-        if !tokens[i].is_ident("struct") || mask[i] || tokens[i + 1].kind != TokenKind::Ident {
-            i += 1;
-            continue;
-        }
-        let struct_name = tokens[i + 1].text.as_str();
-        let derives_debug = derives_debug_before(tokens, i);
-        let mut open = i + 2;
-        while open < tokens.len() && !tokens[open].is_punct('{') && !tokens[open].is_punct(';') {
-            open += 1;
-        }
-        if !punct_at(tokens, open, '{') {
-            i = open + 1;
-            continue; // unit/tuple struct: nothing named to inspect
-        }
-        let (fields, close) = struct_fields(tokens, open);
-        for (fname, fty, fline) in fields {
-            if !is_secret_ident(fname) || is_scalar_type(&fty) {
-                continue;
-            }
-            let zeroizing = fty.contains("Secret");
-            if derives_debug && !zeroizing {
+    for s in file.parsed.structs.iter().filter(|s| !s.is_test) {
+        let derives_debug = s.derives("Debug");
+        let secret_fields =
+            s.fields.iter().filter(|f| is_secret_ident(&f.name) && !is_scalar_type(&f.ty));
+        for f in secret_fields.filter(|f| !f.ty.contains("Secret")) {
+            let (struct_name, fname) = (&s.name, &f.name);
+            if derives_debug {
                 let message = format!(
                     "struct `{struct_name}` derives Debug but field `{fname}` is secret-named; \
                      implement Debug manually (redacted) or wrap the field in mp_crypto::Secret"
                 );
-                diags.push(Diagnostic::new(&file.rel, fline, "R2", message));
+                diags.push(Diagnostic::new(&file.rel, f.line, "R2", message));
             }
-            if !zeroizing && !has_drop.contains(&struct_name) {
+            if !has_drop.contains(&struct_name.as_str()) {
                 let message = format!(
                     "secret-bearing field `{fname}` of `{struct_name}` is neither a \
                      mp_crypto::Secret nor covered by an impl Drop in this file; \
                      freed memory would retain the secret"
                 );
-                diags.push(Diagnostic::new(&file.rel, fline, "R2", message));
+                diags.push(Diagnostic::new(&file.rel, f.line, "R2", message));
             }
         }
-        i = close + 1;
     }
 }
 
@@ -510,48 +417,13 @@ fn init_is_container(toks: &[Token], (s, e): (usize, usize)) -> bool {
         .any(|t| t.kind == TokenKind::Ident && CONTAINERS.contains(&t.text.as_str()))
 }
 
-/// Struct names in this file that `#[derive(.. Debug ..)]`.
-fn debug_deriving_structs(toks: &[Token]) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i + 1 < toks.len() {
-        let attr_close = (toks[i].is_punct('#') && toks[i + 1].is_punct('['))
-            .then(|| matching_close(toks, i + 1, toks.len()))
-            .flatten();
-        let Some(j) = attr_close else {
-            i += 1;
-            continue;
-        };
-        let attr = &toks[i..j];
-        if attr.iter().any(|t| t.is_ident("derive")) && attr.iter().any(|t| t.is_ident("Debug")) {
-            // The struct name follows within a few tokens (skipping
-            // further attributes and visibility modifiers).
-            let mut k = j + 1;
-            for _ in 0..12 {
-                if k + 1 >= toks.len() {
-                    break;
-                }
-                if toks[k].is_ident("struct") && toks[k + 1].kind == TokenKind::Ident {
-                    out.push(toks[k + 1].text.as_str());
-                    break;
-                }
-                if toks[k].is_punct('#') {
-                    // Nested attribute: skip it wholesale.
-                    k = matching_close(toks, k + 1, toks.len()).unwrap_or(toks.len());
-                }
-                k += 1;
-            }
-        }
-        i = j + 1;
-    }
-    out
-}
-
 /// R5: per function, propagate taint through bindings in statement
 /// order and check every sink against the taint live at that point.
 pub(crate) fn r5_secret_taint(file: &SourceFile) -> Vec<Diagnostic> {
     let toks = file.toks();
-    let dbg_structs = debug_deriving_structs(toks);
+    // Struct names in this file that `#[derive(.. Debug ..)]`.
+    let dbg_structs: Vec<&str> =
+        file.parsed.structs.iter().filter(|s| s.derives("Debug")).map(|s| s.name.as_str()).collect();
     let mut diags = Vec::new();
     for (f, facts) in file.fns() {
         r5_function(&file.rel, toks, f, facts, &dbg_structs, &mut diags);

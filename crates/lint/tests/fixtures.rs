@@ -259,46 +259,6 @@ fn r11_fixture_flags_unarmed_spawned_handlers_only() {
 }
 
 #[test]
-fn r12_fixture_flags_unclamped_flows_only() {
-    let diags = run_fixture_with("r12_wire_bounds.rs", RuleSet::of(&["R12"]));
-    assert_eq!(
-        findings(&diags),
-        vec![
-            ("R12", 16), // cross-function: read_len -> decode_bad -> alloc_payload
-            ("R12", 21), // local: vec![0u8; len] straight from the decode
-            ("R12", 27), // read_exact bounded by the raw decoded length
-        ],
-        "diags: {diags:#?}"
-    );
-}
-
-#[test]
-fn r12_fixture_carries_the_decode_to_allocation_path() {
-    let diags = run_fixture_with("r12_wire_bounds.rs", RuleSet::of(&["R12"]));
-    let d = diags.iter().find(|d| d.line == 16).expect("cross-function flow finding");
-    assert!(
-        d.path.first().expect("origin step").note.contains("wire"),
-        "path misses the decode origin: {:#?}",
-        d.path
-    );
-    assert!(
-        d.path.iter().any(|s| s.note.contains("bound to `len`")),
-        "path misses the binding hop: {:#?}",
-        d.path
-    );
-    assert!(
-        d.path.iter().any(|s| s.note.contains("alloc_payload")),
-        "path misses the call hop: {:#?}",
-        d.path
-    );
-    assert!(
-        d.path.last().expect("sink step").note.contains("with_capacity"),
-        "path misses the allocation sink: {:#?}",
-        d.path
-    );
-}
-
-#[test]
 fn r13_fixture_flags_typestate_violations_only() {
     let diags = run_fixture_with("r13_typestate.rs", RuleSet::of(&["R13"]));
     assert_eq!(

@@ -5,7 +5,7 @@
 //! offending line, under the committed waiver budget — there is no
 //! other way to silence one.
 
-use mp_lint::{gate_workspace, workspace_root};
+use mp_lint::{run_workspace, workspace_root};
 
 #[test]
 fn workspace_is_clean() {
@@ -15,10 +15,10 @@ fn workspace_is_clean() {
         "workspace root not found at {}",
         root.display()
     );
-    let result = gate_workspace(&root);
-    if !result.passed() {
+    let findings = run_workspace(&root);
+    if !findings.is_empty() {
         let mut report = String::new();
-        for d in &result.findings {
+        for d in &findings {
             report.push_str(&format!("  {d}\n"));
             for s in &d.path {
                 report.push_str(&format!("      taint: line {}: {}\n", s.line, s.note));
@@ -27,7 +27,7 @@ fn workspace_is_clean() {
         panic!(
             "mp-lint gate failed — {} finding(s):\n{report}\
              fix the code or annotate with `// lint:allow(<rule>) <reason>`",
-            result.findings.len()
+            findings.len()
         );
     }
 }

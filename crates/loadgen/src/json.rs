@@ -1,6 +1,6 @@
-//! Minimal JSON value + parser + serializer. mp-lint stays
-//! dependency-free, so the SARIF-lite report and its schema validator
-//! bring their own (small, std-only) JSON layer.
+//! Minimal JSON value + parser + serializer for `BENCH_load.json`
+//! (small, std-only): the sweep report is emitted through it and the
+//! regression gate reads the committed baseline back with it.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -24,15 +24,18 @@
 //!   through the same pool) plus the injector-thread runner with a
 //!   global retry budget.
 //! * [`report`] — the rate sweep, `BENCH_load.json` emission, and the
-//!   baseline regression gate.
+//!   baseline regression gate, over the crate's own minimal [`json`]
+//!   layer and executable-[`schema`] validator.
 //!
 //! This is test infrastructure first, bench second: every run finishes
 //! with the WAL-replay soak oracle — the journal's synced image must
 //! reproduce the live store exactly, or the run fails.
 
 pub mod harness;
+pub mod json;
 pub mod plan;
 pub mod report;
+pub mod schema;
 pub mod zipf;
 
 pub use harness::{run, Fixture, FixtureConfig, KindStats, RunConfig, RunOutcome};

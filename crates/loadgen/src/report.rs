@@ -10,8 +10,8 @@
 //! live store.
 //!
 //! The JSON shape is pinned by `docs/bench-load.schema.json` (validated
-//! in `tests/schema.rs` with the same executable-schema machinery that
-//! gates the lint reports), and [`gate_against_baseline`] compares a
+//! in `tests/schema.rs` by [`crate::schema`]), and
+//! [`gate_against_baseline`] compares a
 //! fresh run against the committed baseline with a tolerance band — CI
 //! fails on throughput-at-SLO regressions, shed-behavior regressions,
 //! and on any change to the seeded op sequence (digest mismatch at
@@ -19,7 +19,7 @@
 
 use crate::harness::{run, Fixture, FixtureConfig, RunConfig, RunOutcome};
 use crate::plan::{Mix, Plan, PlanConfig};
-use mp_lint::json::{self, Value};
+use crate::json::{self, Value};
 
 /// A latency service-level objective: "the `quantile`-th percentile
 /// stays at or below `bound_us`".

@@ -1,5 +1,5 @@
 //! A deliberately minimal JSON-Schema validator — just the keywords
-//! the SARIF-lite schema uses: `type`, `properties`, `required`,
+//! `docs/bench-load.schema.json` uses: `type`, `properties`, `required`,
 //! `additionalProperties` (boolean form), `items`, `enum`, `minItems`.
 //! Nothing here aims at spec completeness; it exists so the checked-in
 //! schema is *executable* in CI rather than documentation-only.

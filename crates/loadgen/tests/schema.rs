@@ -1,16 +1,16 @@
-//! `BENCH_load.json` has an executable schema, the same way the lint
-//! SARIF-lite report does: a *real* (tiny) capacity sweep is run
-//! in-process, its emitted JSON is parsed back and validated against
-//! the checked-in `docs/bench-load.schema.json`, and the schema is
-//! proved non-vacuous by feeding it deliberately broken documents.
+//! `BENCH_load.json` has an executable schema: a *real* (tiny)
+//! capacity sweep is run in-process, its emitted JSON is parsed back
+//! and validated against the checked-in `docs/bench-load.schema.json`,
+//! and the schema is proved non-vacuous by feeding it deliberately
+//! broken documents.
 //! A second identical sweep must reproduce the identical plan digest —
 //! the end-to-end determinism claim CI relies on.
 
-use mp_lint::{json, schema, workspace_root};
-use mp_loadgen::{capacity_sweep, LoadReport, SweepConfig};
+use mp_loadgen::{capacity_sweep, json, schema, LoadReport, SweepConfig};
 
 fn checked_in_schema() -> json::Value {
-    let path = workspace_root().join("docs/bench-load.schema.json");
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs/bench-load.schema.json");
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("schema {} unreadable: {e}", path.display()));
     json::parse(&text).expect("schema parses as JSON")

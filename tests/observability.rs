@@ -109,23 +109,22 @@ fn durable_server_reports_wal_metrics_through_info() {
         .unwrap();
     w.alice_init("correct horse battery").unwrap();
 
-    let mut rng = test_drbg("wal metrics");
-    let (_, metrics) = w
-        .myproxy_client
-        .info_with_metrics(
-            w.myproxy.connect_local(),
-            &w.alice,
-            "alice",
-            "correct horse battery",
-            &mut rng,
-            w.clock.now(),
-        )
-        .unwrap();
-
-    // The PUT journals two records (the credential upsert, then the
-    // owner-identity update), each fsynced; compact_every=1 folds the
-    // journal into a snapshot after each commit.
-    let counter = |name: &str| -> u64 {
+    let scrape = |seed: &str| -> Vec<String> {
+        let mut rng = test_drbg(seed);
+        let (_, metrics) = w
+            .myproxy_client
+            .info_with_metrics(
+                w.myproxy.connect_local(),
+                &w.alice,
+                "alice",
+                "correct horse battery",
+                &mut rng,
+                w.clock.now(),
+            )
+            .unwrap();
+        metrics
+    };
+    let counter = |metrics: &[String], name: &str| -> u64 {
         metrics
             .iter()
             .find(|l| l.starts_with(&format!("{name} ")))
@@ -133,12 +132,34 @@ fn durable_server_reports_wal_metrics_through_info() {
             .and_then(|v| v.parse().ok())
             .unwrap_or_else(|| panic!("missing counter {name} in {metrics:?}"))
     };
-    assert_eq!(counter("store.wal.appends"), 2);
-    assert!(counter("store.wal.fsyncs") >= 2);
-    assert_eq!(counter("store.wal.compactions"), 2);
-    assert_eq!(counter("store.wal.replayed"), 0);
-    assert_eq!(counter("store.wal.truncated_tail"), 0);
-    assert_eq!(counter("store.load.corrupt"), 0);
+
+    // The PUT journals one record — the whole entry, owner included —
+    // fsynced before the ack; compact_every=1 folds the journal into a
+    // snapshot after each commit.
+    let metrics = scrape("wal metrics");
+    assert_eq!(counter(&metrics, "store.wal.appends"), 1);
+    assert!(counter(&metrics, "store.wal.fsyncs") >= 1);
+    assert_eq!(counter(&metrics, "store.wal.compactions"), 1);
+    assert_eq!(counter(&metrics, "store.wal.replayed"), 0);
+    assert_eq!(counter(&metrics, "store.wal.truncated_tail"), 0);
+    assert_eq!(counter(&metrics, "store.load.corrupt"), 0);
+
+    // A renewable deposit is still one record: the renewal copy rides
+    // the same upsert.
+    let mut params = myproxy::myproxy::client::InitParams::new("alice", "correct horse battery");
+    params.renewer = Some("/O=Grid/CN=condor".into());
+    w.myproxy_client
+        .init(
+            w.myproxy.connect_local(),
+            &w.alice,
+            &params,
+            &mut test_drbg("renewable init"),
+            w.clock.now(),
+        )
+        .unwrap();
+    let metrics = scrape("wal metrics 2");
+    assert_eq!(counter(&metrics, "store.wal.appends"), 2);
+    assert_eq!(counter(&metrics, "store.wal.compactions"), 2);
 }
 
 #[test]

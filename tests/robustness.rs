@@ -848,9 +848,9 @@ fn shipper_outage_grows_lag_and_resync_converges_with_zero_divergence() {
     let errors_before = obs.counter("store.repl.ship_errors").get();
     assert!(p.shipper.run_once().is_err(), "shipping to a dead standby must fail");
     assert!(obs.counter("store.repl.ship_errors").get() > errors_before);
-    // Each PUT journals two records (the credential upsert + the owner
-    // stamp), all of them now waiting for the standby.
-    assert_eq!(lag.get(), 8, "committed records await the standby");
+    // Each PUT journals one record, all of them now waiting for the
+    // standby.
+    assert_eq!(lag.get(), 4, "committed records await the standby");
 
     // Standby back: one pass converges through a snapshot resync, and
     // the standby's own journal agrees with what it now serves.
