@@ -7,8 +7,7 @@ use std::ops::{Add, AddAssign, Mul, Shl, Shr, Sub, SubAssign};
 /// Operand size (in limbs) above which multiplication switches from
 /// schoolbook to Karatsuba.
 ///
-/// Tuned empirically (see the `ablation_multiplication` bench and
-/// EXPERIMENTS.md): this allocation-based Karatsuba only beats the
+/// Tuned empirically (EXPERIMENTS.md X5): this allocation-based Karatsuba only beats the
 /// cache-friendly schoolbook loop above ~128 limbs (8192-bit operands),
 /// so every RSA-sized multiplication (≤ 64 limbs) takes the schoolbook
 /// path and Karatsuba only kicks in for the internal products of very
@@ -73,16 +72,6 @@ impl BigUint {
         } else {
             BigUint::from_limbs(schoolbook(&self.limbs, &other.limbs))
         }
-    }
-
-    /// Schoolbook multiplication regardless of size — exposed only for
-    /// the Karatsuba ablation bench.
-    #[doc(hidden)]
-    pub fn mul_schoolbook_for_bench(&self, other: &BigUint) -> BigUint {
-        if self.is_zero() || other.is_zero() {
-            return BigUint::zero();
-        }
-        BigUint::from_limbs(schoolbook(&self.limbs, &other.limbs))
     }
 
     /// Multiply by a single limb.

@@ -103,7 +103,8 @@ impl BigUint {
     }
 
     /// Square-and-multiply modular exponentiation with full divisions,
-    /// bypassing Montgomery — exposed only for the ablation bench.
+    /// bypassing Montgomery — exposed only as the reference
+    /// `tests/number_theory.rs` checks `mod_pow` against.
     #[doc(hidden)]
     pub fn mod_pow_naive_for_bench(&self, exp: &BigUint, m: &BigUint) -> BigUint {
         assert!(!m.is_zero());

@@ -635,7 +635,7 @@ pub struct ShipReport {
 /// Primary-side shipper: dials the standby, opens a `REPLICATE`
 /// stream, and pushes pending ring frames (or snapshots) lock-step —
 /// one message, one acknowledgment. Driven off the ack path (the serve
-/// pool's sweep tick, a bench loop, or a test harness); a failed pass
+/// pool's sweep tick or a test harness); a failed pass
 /// only bumps `store.repl.ship_errors` — primaries ack from local
 /// durability alone.
 pub struct Shipper {

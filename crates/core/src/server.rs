@@ -4,8 +4,7 @@
 //! registry and the server's own Grid credentials; each incoming
 //! connection gets a GSI secure channel, one request, and (for
 //! PUT/GET-shaped commands) a delegation sub-protocol. All state is
-//! behind locks, so connections can be served from many threads — the
-//! `scalability` bench drives exactly that.
+//! behind locks, so connections can be served from many threads.
 
 use crate::otp::{decode_hex32, OtpOutcome, OtpRegistry};
 use crate::policy::ServerPolicy;

@@ -9,12 +9,12 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Lost-update oracle shared by the WAL concurrency tests and the
-/// `mp-loadgen` soak run: replay the *synced* crash image into a fresh
-/// store mounted at `dir` and compare entry-for-entry with the live
-/// one. Every committed mutation must be in the journal in an order
-/// that reproduces exactly what memory says. Returns `None` when the
-/// two states agree, or a human-readable description of the first
-/// divergence (the load harness reports it; the tests panic on it).
+/// workspace robustness suite: replay the *synced* crash image into a
+/// fresh store mounted at `dir` and compare entry-for-entry with the
+/// live one. Every committed mutation must be in the journal in an
+/// order that reproduces exactly what memory says. Returns `None` when
+/// the two states agree, or a human-readable description of the first
+/// divergence.
 pub fn replay_divergence(
     store: &CredStore,
     vfs: &CrashVfs,

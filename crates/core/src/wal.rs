@@ -760,8 +760,7 @@ pub struct WalConfig {
     pub compact_every: u64,
     /// Batch concurrent commits to one shard into a single
     /// append+fsync (the group-commit barrier). Off = one fsync per
-    /// record, the pre-batching behavior — kept for the before/after
-    /// bench and as an operational escape hatch.
+    /// record, the pre-batching behavior.
     pub group_commit: bool,
 }
 

@@ -55,7 +55,7 @@ fn durable_store(vfs: Arc<CrashVfs>) -> Arc<CredStore> {
     store
 }
 
-/// Replay-equivalence oracle, shared with the `mp-loadgen` soak run.
+/// Replay-equivalence oracle, shared with `tests/robustness.rs`.
 fn assert_replay_matches_live(store: &CredStore, vfs: &CrashVfs) {
     mp_myproxy::testutil::assert_replay_matches_live(store, vfs, Path::new("/store"), PBKDF2_ITERS);
 }

@@ -3,8 +3,8 @@
 //! The MyProxy repository encrypts every credential it holds with a key
 //! derived from the owner's pass phrase (paper §5.1), so an intruder who
 //! dumps the repository host still has to brute-force each pass phrase.
-//! The iteration count is the published cost knob and is swept in the
-//! `crypto_micro` bench.
+//! The iteration count is the published cost knob (`crypto.pbkdf2_ms`
+//! in `benchmark/` measures it at each profile's setting).
 
 use crate::hmac::HmacSha256;
 

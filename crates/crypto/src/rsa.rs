@@ -127,8 +127,8 @@ impl RsaPrivateKey {
     /// Generate a fresh key of `bits` modulus size with e = 65537.
     ///
     /// `bits` must be >= 256 (the PKCS#1 framing needs room; real
-    /// deployments use 1024+ — tests use small keys for speed, and the
-    /// `op_latency` bench sweeps 512..2048).
+    /// deployments use 1024+ — tests use small keys for speed, and
+    /// `benchmark/` runs 512- and 2048-bit profiles).
     pub fn generate<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> Self {
         let _span = Span::enter("crypto.rsa.keygen");
         assert!(bits >= 256, "RSA modulus below 256 bits cannot frame PKCS#1 blocks");

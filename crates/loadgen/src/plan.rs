@@ -1,21 +1,8 @@
-//! Deterministic open-loop load plans.
+//! The vocabulary of a load plan: operation kinds, the traffic mix,
+//! and the deterministic per-user account names and pass phrases.
 //!
-//! A [`Plan`] is the *entire* randomness of a load run, materialized up
-//! front from one seed: which simulated user issues each operation
-//! (zipfian), which operation it is (weighted mix), and when it arrives
-//! (jittered fixed-rate schedule). The harness then merely executes the
-//! plan on the wall clock — arrivals never depend on response latency,
-//! which is what makes the generator *open-loop*: when the server slows
-//! down, requests keep arriving on schedule and queueing/shedding
-//! become visible instead of being masked by client backpressure.
-//!
-//! Two plans generated from the same config are identical byte for
-//! byte; [`Plan::digest`] is the cheap fingerprint CI uses to prove a
-//! rerun replayed the same op sequence.
-
-use crate::zipf::Zipf;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+//! `benchmark/` builds its own plan (and prints its digest) over these
+//! types; this module owns only the names both sides must agree on.
 
 /// One operation kind in the traffic mix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -42,23 +29,12 @@ impl OpKind {
         }
     }
 
-    /// Stable wire byte for digesting.
-    fn tag(self) -> u8 {
-        match self {
-            OpKind::Put => b'P',
-            OpKind::Get => b'G',
-            OpKind::Info => b'I',
-            OpKind::PortalLogin => b'L',
-        }
-    }
-
     /// All kinds, in report order.
     pub const ALL: [OpKind; 4] = [OpKind::Put, OpKind::Get, OpKind::Info, OpKind::PortalLogin];
 }
 
-/// Relative weights of the traffic mix. The defaults model the paper's
-/// portal workload: retrieval dominates (§3.3 — many portals fetching
-/// on users' behalf), deposits are comparatively rare.
+/// Relative weights of the traffic mix; each `benchmark/` workload
+/// names its own.
 #[derive(Clone, Copy, Debug)]
 pub struct Mix {
     /// Weight of PUT.
@@ -69,135 +45,6 @@ pub struct Mix {
     pub info: u32,
     /// Weight of portal login.
     pub portal_login: u32,
-}
-
-impl Default for Mix {
-    fn default() -> Self {
-        Mix { put: 10, get: 60, info: 10, portal_login: 20 }
-    }
-}
-
-impl Mix {
-    fn total(&self) -> u32 {
-        self.put + self.get + self.info + self.portal_login
-    }
-
-    fn pick(&self, roll: u32) -> OpKind {
-        if roll < self.put {
-            OpKind::Put
-        } else if roll < self.put + self.get {
-            OpKind::Get
-        } else if roll < self.put + self.get + self.info {
-            OpKind::Info
-        } else {
-            OpKind::PortalLogin
-        }
-    }
-}
-
-/// Everything that determines a plan. Two identical configs generate
-/// identical plans.
-#[derive(Clone, Debug)]
-pub struct PlanConfig {
-    /// Master seed: the only entropy in the whole run.
-    pub seed: u64,
-    /// Simulated user population (zipf ranks).
-    pub users: usize,
-    /// Zipf exponent for user popularity.
-    pub zipf_exponent: f64,
-    /// Target arrival rate, operations per second.
-    pub rate_per_sec: f64,
-    /// How many operations to schedule.
-    pub total_ops: usize,
-    /// Traffic mix weights.
-    pub mix: Mix,
-}
-
-impl Default for PlanConfig {
-    fn default() -> Self {
-        PlanConfig {
-            seed: 1,
-            users: 16,
-            zipf_exponent: 1.0,
-            rate_per_sec: 20.0,
-            total_ops: 40,
-            mix: Mix::default(),
-        }
-    }
-}
-
-/// One scheduled operation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PlannedOp {
-    /// Arrival time, microseconds from run start.
-    pub at_micros: u64,
-    /// User rank (0 = most popular).
-    pub user: u32,
-    /// Operation kind.
-    pub kind: OpKind,
-}
-
-/// A fully materialized schedule.
-#[derive(Clone, Debug)]
-pub struct Plan {
-    /// The generating config (kept for reports).
-    pub config: PlanConfig,
-    /// Operations in arrival order.
-    pub ops: Vec<PlannedOp>,
-}
-
-impl Plan {
-    /// Generate the plan for `config`. Deterministic: all draws come
-    /// from one `StdRng` seeded with `config.seed`.
-    pub fn generate(config: &PlanConfig) -> Plan {
-        assert!(config.rate_per_sec > 0.0, "arrival rate must be positive");
-        assert!(config.mix.total() > 0, "traffic mix must have positive weight");
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let zipf = Zipf::new(config.users.max(1), config.zipf_exponent);
-        let interval_us = 1_000_000.0 / config.rate_per_sec;
-        let total_weight = config.mix.total();
-        let mut t = 0.0f64;
-        let ops = (0..config.total_ops)
-            .map(|_| {
-                // Jitter each gap uniformly in [0.5, 1.5)× the nominal
-                // interval: mean arrival rate stays exact while arrivals
-                // de-phase from any server-side periodicity.
-                let u = rng.gen_range(0..1 << 20) as f64 / (1u64 << 20) as f64;
-                t += interval_us * (0.5 + u);
-                let user = zipf.sample(&mut rng) as u32;
-                let kind = config.mix.pick(rng.gen_range(0..u64::from(total_weight)) as u32);
-                PlannedOp { at_micros: t as u64, user, kind }
-            })
-            .collect();
-        Plan { config: config.clone(), ops }
-    }
-
-    /// FNV-1a fingerprint of the op sequence (times, users, kinds), as
-    /// a hex string. Equal digests ⇔ identical schedules; CI compares
-    /// this against the committed baseline to prove seeded reruns
-    /// replay the same op sequence.
-    pub fn digest(&self) -> String {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |byte: u8| {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        for op in &self.ops {
-            for b in op.at_micros.to_le_bytes() {
-                eat(b);
-            }
-            for b in op.user.to_le_bytes() {
-                eat(b);
-            }
-            eat(op.kind.tag());
-        }
-        format!("{h:016x}")
-    }
-
-    /// Count of ops of one kind.
-    pub fn count_of(&self, kind: OpKind) -> usize {
-        self.ops.iter().filter(|o| o.kind == kind).count()
-    }
 }
 
 /// The deterministic per-user retrieval phrase. Both the seeding PUT
@@ -211,61 +58,4 @@ pub fn user_pw(user: u32) -> String {
 /// The repository account name for a user rank.
 pub fn user_name(user: u32) -> String {
     format!("user-{user}")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn same_seed_same_plan() {
-        let cfg = PlanConfig { seed: 42, total_ops: 200, ..PlanConfig::default() };
-        let a = Plan::generate(&cfg);
-        let b = Plan::generate(&cfg);
-        assert_eq!(a.ops, b.ops);
-        assert_eq!(a.digest(), b.digest());
-    }
-
-    #[test]
-    fn different_seed_different_plan() {
-        let a = Plan::generate(&PlanConfig { seed: 1, total_ops: 100, ..PlanConfig::default() });
-        let b = Plan::generate(&PlanConfig { seed: 2, total_ops: 100, ..PlanConfig::default() });
-        assert_ne!(a.digest(), b.digest());
-    }
-
-    #[test]
-    fn arrivals_are_monotone_and_near_rate() {
-        let cfg = PlanConfig {
-            seed: 9,
-            rate_per_sec: 100.0,
-            total_ops: 500,
-            ..PlanConfig::default()
-        };
-        let plan = Plan::generate(&cfg);
-        for w in plan.ops.windows(2) {
-            assert!(w[0].at_micros <= w[1].at_micros, "arrivals must be sorted");
-        }
-        let span_s = plan.ops.last().map(|o| o.at_micros).unwrap_or(0) as f64 / 1e6;
-        let achieved = cfg.total_ops as f64 / span_s;
-        assert!(
-            (achieved - 100.0).abs() < 10.0,
-            "offered rate {achieved:.1}/s drifted from nominal 100/s"
-        );
-    }
-
-    #[test]
-    fn mix_weights_are_respected() {
-        let cfg = PlanConfig {
-            seed: 5,
-            total_ops: 2_000,
-            mix: Mix { put: 1, get: 1, info: 0, portal_login: 0 },
-            ..PlanConfig::default()
-        };
-        let plan = Plan::generate(&cfg);
-        assert_eq!(plan.count_of(OpKind::Info), 0);
-        assert_eq!(plan.count_of(OpKind::PortalLogin), 0);
-        let puts = plan.count_of(OpKind::Put) as f64;
-        let gets = plan.count_of(OpKind::Get) as f64;
-        assert!((puts / gets - 1.0).abs() < 0.25, "1:1 mix skewed: {puts} puts vs {gets} gets");
-    }
 }

@@ -20,7 +20,6 @@ pub struct Zipf {
     /// Cumulative distribution: `cdf[k]` = P(rank ≤ k). The final entry
     /// is exactly 1.0 by construction.
     cdf: Vec<f64>,
-    exponent: f64,
 }
 
 /// Draws map a 53-bit uniform integer into [0, 1); 53 bits is what an
@@ -48,17 +47,7 @@ impl Zipf {
         if let Some(last) = cdf.last_mut() {
             *last = 1.0;
         }
-        Zipf { cdf, exponent: s }
-    }
-
-    /// Number of ranks.
-    pub fn population(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// The configured exponent.
-    pub fn exponent(&self) -> f64 {
-        self.exponent
+        Zipf { cdf }
     }
 
     /// The modelled probability of rank `k` (0-based).

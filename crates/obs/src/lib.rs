@@ -21,9 +21,8 @@
 //!   record into the process-wide [`global`] registry. A scrape surface
 //!   merges the two with [`Snapshot::merged`].
 //! * **exposition** — [`render`] emits a deterministic text format,
-//!   [`parse`] round-trips it, [`render_compact`] produces one-line
-//!   `name value` samples for the GSI INFO response, and
-//!   [`Snapshot::to_json`] feeds `BENCH_obs.json`.
+//!   [`parse`] round-trips it, and [`render_compact`] produces
+//!   one-line `name value` samples for the GSI INFO response.
 //!
 //! ## Atomic ordering: `Relaxed`, everywhere, on purpose
 //!

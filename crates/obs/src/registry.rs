@@ -87,79 +87,6 @@ impl Snapshot {
         }
         out
     }
-
-    /// Hand-rolled JSON object (no serde in this workspace):
-    /// `{"counters":{...},"gauges":{...},"histograms":{name:{count,sum,
-    /// max,p50,p90,p99,bounds,buckets}}}`. Names pass through
-    /// [`Registry`] sanitization so no JSON escaping is ever needed.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"counters\": {");
-        push_scalar_map(&mut s, &self.counters);
-        s.push_str("},\n  \"gauges\": {");
-        push_scalar_map(&mut s, &self.gauges);
-        s.push_str("},\n  \"histograms\": {");
-        let mut first = true;
-        for (name, h) in &self.histograms {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str("\n    \"");
-            s.push_str(name);
-            s.push_str("\": {\"count\": ");
-            s.push_str(&h.count.to_string());
-            s.push_str(", \"sum\": ");
-            s.push_str(&h.sum.to_string());
-            s.push_str(", \"max\": ");
-            s.push_str(&h.max.to_string());
-            s.push_str(", \"p50\": ");
-            s.push_str(&h.p50().to_string());
-            s.push_str(", \"p90\": ");
-            s.push_str(&h.p90().to_string());
-            s.push_str(", \"p99\": ");
-            s.push_str(&h.p99().to_string());
-            s.push_str(", \"bounds\": ");
-            push_u64_array(&mut s, &h.bounds);
-            s.push_str(", \"buckets\": ");
-            push_u64_array(&mut s, &h.buckets);
-            s.push('}');
-        }
-        if !self.histograms.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("}\n}\n");
-        s
-    }
-}
-
-fn push_scalar_map(s: &mut String, map: &BTreeMap<String, u64>) {
-    let mut first = true;
-    for (name, v) in map {
-        if !first {
-            s.push(',');
-        }
-        first = false;
-        s.push_str("\n    \"");
-        s.push_str(name);
-        s.push_str("\": ");
-        s.push_str(&v.to_string());
-    }
-    if !map.is_empty() {
-        s.push_str("\n  ");
-    }
-}
-
-fn push_u64_array(s: &mut String, xs: &[u64]) {
-    s.push('[');
-    let mut first = true;
-    for x in xs {
-        if !first {
-            s.push_str(", ");
-        }
-        first = false;
-        s.push_str(&x.to_string());
-    }
-    s.push(']');
 }
 
 #[derive(Default)]

@@ -1,8 +1,8 @@
 //! Facade crate for the MyProxy reproduction (HPDC 2001).
 //!
 //! Re-exports every layer of the stack and provides [`testkit`], the
-//! fully wired simulated Grid used by the integration tests, the
-//! examples (`cargo run --example quickstart`) and the benches.
+//! fully wired simulated Grid used by the integration tests and the
+//! examples (`cargo run --example quickstart`).
 //!
 //! Layers, bottom-up:
 //!

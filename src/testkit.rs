@@ -1,7 +1,7 @@
 //! A complete simulated Grid, wired in-process: one CA, users, a
 //! MyProxy repository, a GRAM job manager, a mass-storage service, and
-//! a Grid portal. Shared by the workspace integration tests, examples
-//! and benches.
+//! a Grid portal. Shared by the workspace integration tests and
+//! examples.
 //!
 //! Everything runs over in-memory duplex transports with a simulated
 //! clock, so scenarios are deterministic and fast; the same components

@@ -200,9 +200,33 @@ fn delegation_round_trip_lands_in_span_histograms() {
         .unwrap();
     assert!(!cred.chain().is_empty());
 
-    let global = obs::global().snapshot();
-    for name in ["gsi.delegate.issue", "gsi.delegate.accept", "store.open"] {
-        let h = global.histograms.get(name).unwrap_or_else(|| panic!("{name} missing"));
+    // Figure 3: one portal login, which drives a GET on alice's behalf.
+    let mut browser = w.browser("obs spans");
+    expect_ok(browser.login("alice", "correct horse battery").unwrap()).unwrap();
+
+    // The span catalogue: every latency histogram the docs and the
+    // benchmark's per-layer metrics name. A renamed span fails here,
+    // not as a silently empty dashboard.
+    let snap = obs::global()
+        .snapshot()
+        .merged(&w.myproxy.obs().snapshot())
+        .merged(&w.portal.obs().snapshot());
+    for name in [
+        "gsi.handshake.client",
+        "gsi.handshake.server",
+        "gsi.handshake.validate",
+        "gsi.handshake.kex",
+        "gsi.delegate.issue",
+        "gsi.delegate.accept",
+        "crypto.rsa.sign",
+        "crypto.rsa.verify",
+        "crypto.rsa.keygen",
+        "store.put",
+        "store.open",
+        "myproxy.request",
+        "portal.request",
+    ] {
+        let h = snap.histograms.get(name).unwrap_or_else(|| panic!("{name} missing"));
         assert!(h.count >= 1, "{name} never recorded");
         assert!(h.p99() <= h.max, "{name}: p99 above max");
     }

@@ -679,6 +679,99 @@ fn metrics_scrape_during_grace_drain_is_coherent() {
     assert!(report.drained, "half-open peer evicted within the grace period");
 }
 
+#[test]
+fn overload_loses_requests_never_updates() {
+    let w = GridWorld::new();
+    let vfs = Arc::new(CrashVfs::new());
+    let dir = std::path::Path::new("/store");
+    w.myproxy.enable_durability_with(dir, vfs.clone(), wal_cfg()).unwrap();
+    // One worker, two slots: one connection in flight, one queued,
+    // everything beyond that shed.
+    let (push, handle) = w.myproxy.serve_local(NetConfig { max_connections: 2, ..tight_cfg() }).unwrap();
+    let stats = handle.stats();
+    let put = |name: &str, rng: &mut HmacDrbg| {
+        let mut params = InitParams::new("alice", PASS);
+        params.cred_name = Some(name.into());
+        match w.myproxy_client.init(dial(&push), &w.alice, &params, rng, w.clock.now()) {
+            Ok(_) => Some(name.to_string()),
+            Err(MyProxyError::Busy { .. }) => None,
+            Err(e) => panic!("PUT {name} under overload must be acked or shed, got {e}"),
+        }
+    };
+    let mut acked: Vec<String> = put("seed", &mut test_drbg("overload seed")).into_iter().collect();
+    assert_eq!(acked, ["seed"], "the idle pool serves the first PUT");
+    wait_until("seed connection drained", || stats.active() == 0);
+
+    // Two silent peers hold both slots (one pins the worker in its
+    // handshake read, one sits in the queue), so every dial is shed
+    // until they hang up: the sheds below are forced, not hoped for.
+    let silent = [dial(&push), dial(&push)];
+    wait_until("pool full", || stats.active() == 2 && stats.queue_depth() == 1);
+    assert_eq!(put("lost", &mut test_drbg("overload lost")), None, "a PUT at the cap is shed, not queued");
+
+    let burst = std::thread::scope(|s| {
+        // Two readers under a retry policy: shed at the cap, they ride
+        // BUSY out and are served once the pool has room.
+        let readers: Vec<_> = (0..2)
+            .map(|t| {
+                let (w, push) = (&w, &push);
+                s.spawn(move || {
+                    let policy =
+                        RetryPolicy { max_attempts: 8, base_delay_ms: 50, max_delay_ms: 400, jitter_seed: t };
+                    let mut g = GetParams::new("alice", PASS);
+                    g.cred_name = Some("seed".into());
+                    let mut rng = test_drbg(&format!("overload reader {t}"));
+                    let (got, attempts) = Repositories::new(vec![pool_connector(push)], policy).call(
+                        &w.myproxy_client,
+                        &w.portal_cred,
+                        &g,
+                        &mut rng,
+                        w.clock.now(),
+                    );
+                    got.expect("a retrying GET rides out the overload");
+                    assert!(attempts >= 2, "the first attempt met a full pool");
+                })
+            })
+            .collect();
+        wait_until("readers shed", || stats.shed() >= 3);
+        drop(silent);
+        // Three closed-loop writers against the two slots, beside the
+        // readers' retries. A shed PUT is a lost request: never
+        // retried, on to the next name.
+        let writers: Vec<_> = (0..3)
+            .map(|t| {
+                let put = &put;
+                s.spawn(move || {
+                    let mut rng = test_drbg(&format!("overload writer {t}"));
+                    (0..5).filter_map(|i| put(&format!("w{t}-{i}"), &mut rng)).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for r in readers {
+            r.join().unwrap();
+        }
+        writers.into_iter().flat_map(|h| h.join().unwrap()).collect::<Vec<_>>()
+    });
+    acked.extend(burst);
+    // The overload over, the pool drains and serves again.
+    wait_until("queue drained", || stats.active() == 0 && stats.queue_depth() == 0);
+    acked.extend(put("after", &mut test_drbg("overload after")));
+    assert_eq!(acked.last().map(String::as_str), Some("after"), "an idle pool serves the next PUT");
+    let report = handle.shutdown();
+    assert!(report.drained, "pool should drain within the grace period");
+
+    // Shed requests left nothing behind; every acked PUT is there,
+    // opens, and is in the journal's synced image.
+    assert_eq!(w.myproxy.store().len(), acked.len(), "a shed PUT must leave no entry");
+    for name in &acked {
+        w.myproxy.store().open("alice", name, PASS).unwrap_or_else(|e| {
+            panic!("acked credential {name} lost under overload: {e}");
+        });
+    }
+    let iters = ServerPolicy::permissive().pbkdf2_iterations;
+    assert_eq!(replay_divergence(w.myproxy.store(), &vfs, dir, iters), None);
+}
+
 // ---------------------------------------------------------------------
 // Replication & failover: a primary shipping its journal to a warm
 // standby, promotion (explicit and heartbeat-timeout), epoch fencing
@@ -777,15 +870,31 @@ fn replication_ships_acked_puts_and_standby_serves_reads() {
 
     init_named(&p, &p.w.myproxy, "cred-0", &mut rng).unwrap();
     init_named(&p, &p.w.myproxy, "cred-1", &mut rng).unwrap();
-    p.shipper.run_once().unwrap();
+    // First contact: the standby holds no acked position for this
+    // stream, so every shard is bootstrapped by snapshot.
+    let first = p.shipper.run_once().unwrap();
+    assert_eq!(first.resyncs, p.w.myproxy.store().shard_count() as u64);
 
     // The standby converged to the primary's exact state, durably (its
     // own journal replays to the same thing it holds in memory).
-    assert_eq!(sorted_entries(&p.w.myproxy), sorted_entries(&p.standby));
-    assert_eq!(
-        replay_divergence(p.standby.store(), &p.standby_vfs, std::path::Path::new(STANDBY_DIR), iters),
-        None
-    );
+    let assert_converged = || {
+        assert_eq!(sorted_entries(&p.w.myproxy), sorted_entries(&p.standby));
+        assert_eq!(
+            replay_divergence(p.standby.store(), &p.standby_vfs, std::path::Path::new(STANDBY_DIR), iters),
+            None
+        );
+    };
+    assert_converged();
+
+    // From then on shipping is incremental: the next PUT travels as a
+    // journal frame and no shard is snapshotted again.
+    let resyncs = p.w.myproxy.obs().counter("store.repl.resyncs");
+    let after_first_contact = resyncs.get();
+    init_named(&p, &p.w.myproxy, "cred-2", &mut rng).unwrap();
+    let second = p.shipper.run_once().unwrap();
+    assert!(second.shipped_records > 0, "the second pass must ship the PUT as a frame: {second:?}");
+    assert_eq!(resyncs.get(), after_first_contact, "steady-state shipping must not resync");
+    assert_converged();
 
     // Reads are served by the standby; both sides report role + epoch
     // over INFO.
@@ -798,7 +907,7 @@ fn replication_ships_acked_puts_and_standby_serves_reads() {
             .unwrap()
     };
     let reply = info_from(&p.standby);
-    assert_eq!(reply.creds.len(), 2);
+    assert_eq!(reply.creds.len(), 3);
     assert_eq!((reply.status.role.as_str(), reply.status.epoch), ("standby", 0));
     let reply = info_from(&p.w.myproxy);
     assert_eq!((reply.status.role.as_str(), reply.status.epoch), ("primary", 0));
@@ -817,12 +926,12 @@ fn replication_ships_acked_puts_and_standby_serves_reads() {
 
     // Mutations against the standby are refused with a role-bearing
     // message pointing the operator at the primary.
-    let err = init_named(&p, &p.standby, "cred-2", &mut rng).unwrap_err();
+    let err = init_named(&p, &p.standby, "cred-3", &mut rng).unwrap_err();
     match err {
         MyProxyError::Refused(why) => assert!(why.contains("standby"), "got: {why}"),
         other => panic!("expected a role refusal, got {other:?}"),
     }
-    assert_eq!(p.standby.store().len(), 2);
+    assert_eq!(p.standby.store().len(), 3);
 }
 
 #[test]
