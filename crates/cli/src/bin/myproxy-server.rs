@@ -154,7 +154,7 @@ fn run(args: &Args) -> Result<(), String> {
         let connector: mp_gsi::transport::Connector = {
             let target = target.clone();
             Arc::new(move || {
-                let s = std::net::TcpStream::connect(&target)?;
+                let s = net::dial(&target)?;
                 // A stalled standby must time the session out, never
                 // park the shipper thread forever.
                 s.set_read_timeout(Some(Duration::from_secs(30)))?;

@@ -258,14 +258,15 @@ impl ClientSetup {
     }
 
     /// A re-dialing [`mp_gsi::transport::Connector`] for the dialled
-    /// server: every call is a fresh TCP connection.
+    /// server: every call is a fresh TCP connection from
+    /// [`mp_gsi::net::dial`].
     pub fn connector(&self) -> mp_gsi::transport::Connector {
         Self::tcp_connector(self.server_addr.clone())
     }
 
     fn tcp_connector(addr: String) -> mp_gsi::transport::Connector {
         std::sync::Arc::new(move || {
-            std::net::TcpStream::connect(&addr)
+            mp_gsi::net::dial(&addr)
                 .map(|s| Box::new(s) as mp_gsi::transport::BoxedTransport)
                 .map_err(|e| std::io::Error::new(e.kind(), format!("cannot connect to {addr}: {e}")))
         })
@@ -377,6 +378,27 @@ mod tests {
         assert_eq!(split_repositories("a:7512,b:7512"), vec!["a:7512", "b:7512"]);
         assert_eq!(split_repositories(" a:1 , ,b:2,"), vec!["a:1", "b:2"]);
         assert!(split_repositories(",").is_empty());
+    }
+
+    #[test]
+    fn connector_dials_with_nodelay() {
+        use mp_x509::test_util::{test_drbg, test_rsa_key};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let key = test_rsa_key(0).clone();
+        let dn = Dn::parse("/O=Grid/CN=Nodelay").unwrap();
+        let ca = mp_x509::CertificateAuthority::new_root(dn, key.clone(), 0, 2_000_000_000).unwrap();
+        let setup = ClientSetup {
+            server_addr: listener.local_addr().unwrap().to_string(),
+            repositories: Vec::new(),
+            credential: Credential::new(vec![ca.certificate().clone()], key).unwrap(),
+            client: mp_myproxy::MyProxyClient::new(Vec::new(), None),
+            rng: test_drbg("nodelay"),
+            now: 0,
+        };
+        let dialled = (setup.connector())().unwrap();
+        let dialled: &dyn std::any::Any = &*dialled;
+        let sock = dialled.downcast_ref::<std::net::TcpStream>().expect("a TCP connector dials TCP");
+        assert!(sock.nodelay().unwrap());
     }
 
     #[test]

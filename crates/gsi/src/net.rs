@@ -25,6 +25,13 @@
 //!    aborts what is still queued, and joins every thread, so process
 //!    exit cannot race an in-flight credential write.
 //!
+//! Nothing on the request path waits on a clock: the accept thread
+//! blocks in `accept` (shutdown wakes it through
+//! [`Acceptor::waker`]), housekeeping runs on its own `net-sweep`
+//! thread, a connection goes to the worker that parked most recently,
+//! and every TCP socket the product owns — accepted here or dialled
+//! through [`dial`] — has `TCP_NODELAY` set.
+//!
 //! [`FaultyTransport`] is the fault-injection half: a transport wrapper
 //! that drops, errors, or stalls the connection at exact protocol-frame
 //! boundaries, used by `tests/robustness.rs` to prove the above.
@@ -35,6 +42,7 @@ use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -43,7 +51,9 @@ use std::time::{Duration, Instant};
 /// Tuning knobs for a [`serve`] pool.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
-    /// Worker threads handling connections (minimum 1).
+    /// Worker threads handling connections (minimum 1). Beside them a
+    /// pool runs one accept thread and, with a `sweep_interval`, one
+    /// `net-sweep` thread.
     pub workers: usize,
     /// Connections admitted (queued + in flight) before load-shedding.
     pub max_connections: usize,
@@ -56,15 +66,14 @@ pub struct NetConfig {
     /// How long [`ShutdownHandle::shutdown`] waits for in-flight
     /// handlers before abandoning the drain.
     pub shutdown_grace: Duration,
-    /// Accept-loop sleep when the listener has nothing for us.
-    pub poll_interval: Duration,
     /// First retry delay after a transient accept error; doubles per
     /// consecutive failure.
     pub accept_backoff_start: Duration,
     /// Backoff ceiling.
     pub accept_backoff_max: Duration,
-    /// How often the accept thread calls [`Service::sweep`] (expired
-    /// credential purging, persistence flushes). `None` disables it.
+    /// How often the pool's `net-sweep` thread calls [`Service::sweep`]
+    /// (expired credential purging, persistence flushes). `None`
+    /// disables it and starts no sweep thread.
     pub sweep_interval: Option<Duration>,
 }
 
@@ -76,7 +85,6 @@ impl Default for NetConfig {
             handshake_deadline: Some(Duration::from_secs(10)),
             idle_deadline: Some(Duration::from_secs(30)),
             shutdown_grace: Duration::from_secs(5),
-            poll_interval: Duration::from_millis(5),
             accept_backoff_start: Duration::from_millis(5),
             accept_backoff_max: Duration::from_secs(1),
             sweep_interval: Some(Duration::from_secs(30)),
@@ -212,8 +220,8 @@ pub trait Service<C>: Send + Sync + 'static {
     }
 
     /// Periodic housekeeping (purge expired credentials, flush
-    /// persistence). Called from the accept thread on
-    /// [`NetConfig::sweep_interval`].
+    /// persistence). Called from the pool's `net-sweep` thread on
+    /// [`NetConfig::sweep_interval`], concurrently with `handle`.
     fn sweep(&self) {}
 }
 
@@ -271,39 +279,77 @@ impl DeadlineControl for BoxedConn {
     }
 }
 
-/// A source of inbound connections the accept loop polls.
+/// Makes a blocked (or the next) [`Acceptor::accept`] return, once, so
+/// the accept thread sees a stop request. `Err` means the wake could
+/// not be delivered and the accept thread may stay blocked.
+pub type AcceptWaker = Box<dyn FnOnce() -> io::Result<()> + Send + Sync>;
+
+/// A source of inbound connections for the accept loop.
 pub trait Acceptor: Send + 'static {
     /// The connection type this acceptor yields.
     type Conn: Send + 'static;
-    /// Try to accept one connection. `WouldBlock`-class errors mean
-    /// "nothing right now"; see [`classify_accept_error`].
-    fn poll_accept(&mut self) -> io::Result<Self::Conn>;
+    /// Block until one connection arrives. `WouldBlock`-class errors
+    /// (an interrupted or woken accept) mean "nothing accepted"; see
+    /// [`classify_accept_error`].
+    fn accept(&mut self) -> io::Result<Self::Conn>;
+    /// The wake [`ShutdownHandle::shutdown`] uses to unblock `accept`.
+    fn waker(&self) -> AcceptWaker;
 }
 
-/// [`Acceptor`] over a real TCP listener (non-blocking accept).
+/// Dial `addr` the one way the product dials TCP: connect, then set
+/// `TCP_NODELAY`. Every protocol here writes a whole frame and then
+/// waits on the peer, and two frames in a row from one side (Finished
+/// then the request; PUT's success then its CSR) are exactly what
+/// Nagle's algorithm holds back until the peer's delayed ACK.
+pub fn dial(addr: impl ToSocketAddrs) -> io::Result<TcpStream> {
+    let sock = TcpStream::connect(addr)?;
+    sock.set_nodelay(true)?;
+    Ok(sock)
+}
+
+/// How long a shutdown self-dial may take before the accept thread is
+/// given up on and detached.
+const WAKE_DIAL_LIMIT: Duration = Duration::from_millis(500);
+
+/// [`Acceptor`] over a real TCP listener (blocking accept).
 pub struct TcpAcceptor {
-    listener: std::net::TcpListener,
+    listener: TcpListener,
+    /// Where the waker dials: the listener's own address, loopback
+    /// standing in for an unspecified bind address.
+    wake_addr: SocketAddr,
 }
 
 impl TcpAcceptor {
-    /// Wrap `listener`, switching it to non-blocking mode so shutdown
-    /// can interrupt the accept loop.
-    pub fn new(listener: std::net::TcpListener) -> io::Result<Self> {
-        listener.set_nonblocking(true)?;
-        Ok(TcpAcceptor { listener })
+    /// Wrap `listener`, switching it to blocking mode: shutdown wakes
+    /// the accept thread by dialling the listener itself.
+    pub fn new(listener: TcpListener) -> io::Result<Self> {
+        listener.set_nonblocking(false)?;
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            let loopback: IpAddr = match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            };
+            wake_addr.set_ip(loopback);
+        }
+        Ok(TcpAcceptor { listener, wake_addr })
     }
 }
 
 impl Acceptor for TcpAcceptor {
-    type Conn = std::net::TcpStream;
-    fn poll_accept(&mut self) -> io::Result<std::net::TcpStream> {
+    type Conn = TcpStream;
+    fn accept(&mut self) -> io::Result<TcpStream> {
         let (sock, _peer) = self.listener.accept()?;
-        // The accepted socket may inherit non-blocking mode; handlers
-        // expect blocking reads bounded by deadlines. A socket we
-        // cannot configure is indistinguishable from one that hung up.
-        sock.set_nonblocking(false)
+        // Same reason as in `dial`. A socket we cannot configure is
+        // indistinguishable from one that hung up.
+        sock.set_nodelay(true)
             .map_err(|e| io::Error::new(io::ErrorKind::ConnectionAborted, e))?;
         Ok(sock)
+    }
+
+    fn waker(&self) -> AcceptWaker {
+        let addr = self.wake_addr;
+        Box::new(move || TcpStream::connect_timeout(&addr, WAKE_DIAL_LIMIT).map(drop))
     }
 }
 
@@ -315,6 +361,8 @@ enum QueueItem<C> {
 struct AcceptQueueState<C> {
     items: VecDeque<QueueItem<C>>,
     closed: bool,
+    /// Set by the waker, consumed by the `accept` it unblocks.
+    woken: bool,
 }
 
 struct AcceptQueueShared<C> {
@@ -334,7 +382,7 @@ impl<C> Clone for QueuePusher<C> {
     }
 }
 
-/// Consumer half: an [`Acceptor`] the pool polls.
+/// Consumer half: an [`Acceptor`] a pool accepts from.
 pub struct QueueAcceptor<C> {
     shared: Arc<AcceptQueueShared<C>>,
 }
@@ -351,7 +399,7 @@ impl<C> QueuePusher<C> {
         Ok(())
     }
 
-    /// Enqueue an accept *error* — the next `poll_accept` returns it.
+    /// Enqueue an accept *error* — the next `accept` returns it.
     /// This is how tests inject `EMFILE`-class failures.
     pub fn push_err(&self, err: io::Error) {
         let mut st = self.shared.state.lock();
@@ -359,7 +407,7 @@ impl<C> QueuePusher<C> {
         self.shared.ready.notify_all();
     }
 
-    /// Close the queue: once drained, `poll_accept` reports listener
+    /// Close the queue: once drained, `accept` reports listener
     /// teardown and the accept loop exits.
     pub fn close(&self) {
         let mut st = self.shared.state.lock();
@@ -380,7 +428,7 @@ impl<C> Drop for QueuePusher<C> {
 
 impl<C: Send + 'static> Acceptor for QueueAcceptor<C> {
     type Conn = C;
-    fn poll_accept(&mut self) -> io::Result<C> {
+    fn accept(&mut self) -> io::Result<C> {
         let mut st = self.shared.state.lock();
         loop {
             match st.items.pop_front() {
@@ -392,17 +440,26 @@ impl<C: Send + 'static> Acceptor for QueueAcceptor<C> {
                         "accept queue closed",
                     ));
                 }
-                None => {
-                    let res = self
-                        .shared
-                        .ready
-                        .wait_for(&mut st, Duration::from_millis(2));
-                    if res.timed_out() && st.items.is_empty() && !st.closed {
-                        return Err(io::Error::new(io::ErrorKind::WouldBlock, "no connection"));
-                    }
+                None if st.woken => {
+                    st.woken = false;
+                    return Err(io::Error::new(io::ErrorKind::WouldBlock, "accept woken"));
                 }
+                None => self.shared.ready.wait(&mut st),
             }
         }
+    }
+
+    fn waker(&self) -> AcceptWaker {
+        // Weak: a strong reference would keep `QueuePusher`'s
+        // last-pusher-gone count from ever closing the queue.
+        let shared = Arc::downgrade(&self.shared);
+        Box::new(move || {
+            if let Some(shared) = shared.upgrade() {
+                shared.state.lock().woken = true;
+                shared.ready.notify_all();
+            }
+            Ok(())
+        })
     }
 }
 
@@ -410,7 +467,7 @@ impl<C: Send + 'static> Acceptor for QueueAcceptor<C> {
 /// a [`serve`] pool accept them on the other.
 pub fn accept_queue<C: Send + 'static>() -> (QueuePusher<C>, QueueAcceptor<C>) {
     let shared = Arc::new(AcceptQueueShared {
-        state: Mutex::new(AcceptQueueState { items: VecDeque::new(), closed: false }),
+        state: Mutex::new(AcceptQueueState { items: VecDeque::new(), closed: false, woken: false }),
         ready: Condvar::new(),
     });
     (QueuePusher { shared: shared.clone() }, QueueAcceptor { shared })
@@ -419,7 +476,7 @@ pub fn accept_queue<C: Send + 'static>() -> (QueuePusher<C>, QueueAcceptor<C>) {
 /// What the accept loop should do with an `accept()` error.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AcceptDisposition {
-    /// Nothing to accept right now; poll again shortly.
+    /// Nothing accepted (interrupted or woken); accept again.
     Idle,
     /// Transient failure (`ECONNABORTED`, `EMFILE`/`ENFILE`, ...):
     /// retry with backoff. This is the availability bug the old loops
@@ -450,9 +507,18 @@ pub fn classify_accept_error(e: &io::Error) -> AcceptDisposition {
     }
 }
 
+struct PoolState<C> {
+    queue: VecDeque<C>,
+    /// One condvar per parked worker, the most recently parked last.
+    /// Hand-off pops from the top, so a pool that is faster than its
+    /// arrivals keeps reusing the few workers it really runs at once —
+    /// their stacks, caches and malloc arenas — instead of cycling
+    /// through every thread.
+    idle: Vec<Arc<Condvar>>,
+}
+
 struct PoolShared<C> {
-    queue: Mutex<VecDeque<C>>,
-    work_ready: Condvar,
+    state: Mutex<PoolState<C>>,
     stop: AtomicBool,
     stats: Arc<NetStats>,
 }
@@ -463,6 +529,8 @@ trait PoolControl: Send + Sync {
     fn wake_all(&self);
     fn clear_queue(&self) -> u64;
     fn active(&self) -> u64;
+    #[cfg(test)]
+    fn parked(&self) -> usize;
 }
 
 impl<C: Send> PoolControl for PoolShared<C> {
@@ -470,13 +538,18 @@ impl<C: Send> PoolControl for PoolShared<C> {
         self.stop.store(true, Ordering::Release);
     }
     fn wake_all(&self) {
-        self.work_ready.notify_all();
+        // Under the lock: a worker between its stop check and its
+        // wait is not yet listed, and will see the stop flag instead.
+        let st = self.state.lock();
+        for parked in &st.idle {
+            parked.notify_one();
+        }
     }
     fn clear_queue(&self) -> u64 {
         let dropped = {
-            let mut q = self.queue.lock();
-            let n = q.len() as u64;
-            q.clear();
+            let mut st = self.state.lock();
+            let n = st.queue.len() as u64;
+            st.queue.clear();
             n
         };
         for _ in 0..dropped {
@@ -489,6 +562,10 @@ impl<C: Send> PoolControl for PoolShared<C> {
     fn active(&self) -> u64 {
         self.stats.active()
     }
+    #[cfg(test)]
+    fn parked(&self) -> usize {
+        self.state.lock().idle.len()
+    }
 }
 
 fn worker_loop<C, S>(shared: Arc<PoolShared<C>>, service: Arc<S>, idle: Option<Duration>)
@@ -496,18 +573,23 @@ where
     C: Send + 'static,
     S: Service<C>,
 {
+    let wake = Arc::new(Condvar::new());
     loop {
         let conn = {
-            let mut q = shared.queue.lock();
+            let mut st = shared.state.lock();
             loop {
-                if let Some(c) = q.pop_front() {
+                if let Some(c) = st.queue.pop_front() {
                     shared.stats.queued.dec();
                     break Some(c);
                 }
                 if shared.stop.load(Ordering::Acquire) {
                     break None;
                 }
-                shared.work_ready.wait(&mut q);
+                st.idle.push(wake.clone());
+                wake.wait(&mut st);
+                // A hand-off already popped us; a spurious wake did
+                // not. Either way we are not parked any more.
+                st.idle.retain(|w| !Arc::ptr_eq(w, &wake));
             }
         };
         let Some(conn) = conn else { return };
@@ -530,18 +612,15 @@ where
     S: Service<A::Conn>,
 {
     let mut backoff = cfg.accept_backoff_start;
-    let mut last_sweep = Instant::now();
     loop {
+        let accepted = acceptor.accept();
+        // Checked after `accept` returns: whatever woke a stopping pool
+        // (the waker's self-dial included) is neither counted nor
+        // queued.
         if shared.stop.load(Ordering::Acquire) {
             return;
         }
-        if let Some(interval) = cfg.sweep_interval {
-            if last_sweep.elapsed() >= interval {
-                service.sweep();
-                last_sweep = Instant::now();
-            }
-        }
-        match acceptor.poll_accept() {
+        match accepted {
             Ok(conn) => {
                 backoff = cfg.accept_backoff_start;
                 shared.stats.accepted.inc();
@@ -554,15 +633,20 @@ where
                     continue;
                 }
                 shared.stats.active.inc();
-                {
-                    let mut q = shared.queue.lock();
-                    q.push_back(conn);
+                let hottest = {
+                    let mut st = shared.state.lock();
+                    st.queue.push_back(conn);
                     shared.stats.queued.inc();
+                    st.idle.pop()
+                };
+                // Outside the lock, so the woken worker does not block
+                // on it straight away.
+                if let Some(worker) = hottest {
+                    worker.notify_one();
                 }
-                shared.work_ready.notify_one();
             }
             Err(e) => match classify_accept_error(&e) {
-                AcceptDisposition::Idle => std::thread::sleep(cfg.poll_interval),
+                AcceptDisposition::Idle => {}
                 AcceptDisposition::Transient => {
                     shared.stats.accept_retries.inc();
                     std::thread::sleep(backoff);
@@ -596,7 +680,8 @@ pub struct ShutdownHandle {
     control: Arc<dyn PoolControl>,
     stats: Arc<NetStats>,
     grace: Duration,
-    accept: Option<JoinHandle<()>>,
+    accept: Option<(JoinHandle<()>, AcceptWaker)>,
+    sweep: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -606,13 +691,23 @@ impl ShutdownHandle {
         self.stats.clone()
     }
 
+    /// Workers parked waiting for a connection.
+    #[cfg(test)]
+    fn parked(&self) -> usize {
+        self.control.parked()
+    }
+
     /// Stop accepting, drain in-flight handlers for up to the grace
     /// period, abort whatever is still queued, and join every thread.
+    /// An accept thread whose wake could not be delivered is detached
+    /// rather than waited for.
     pub fn shutdown(mut self) -> ShutdownReport {
         self.control.request_stop();
         self.control.wake_all();
-        if let Some(h) = self.accept.take() {
-            join_counting_panics(h, &self.stats);
+        if let Some((h, wake)) = self.accept.take() {
+            if wake().is_ok() {
+                join_counting_panics(h, &self.stats);
+            }
         }
         self.teardown()
     }
@@ -620,7 +715,7 @@ impl ShutdownHandle {
     /// Block until the accept loop exits on its own (listener
     /// teardown), then drain and join like [`shutdown`](Self::shutdown).
     pub fn join(mut self) -> ShutdownReport {
-        if let Some(h) = self.accept.take() {
+        if let Some((h, _)) = self.accept.take() {
             join_counting_panics(h, &self.stats);
         }
         self.control.request_stop();
@@ -628,6 +723,10 @@ impl ShutdownHandle {
     }
 
     fn teardown(&mut self) -> ShutdownReport {
+        if let Some(h) = self.sweep.take() {
+            h.thread().unpark();
+            join_counting_panics(h, &self.stats);
+        }
         // Grace period: in-flight handlers (bounded by their deadlines)
         // get a chance to finish before we abandon the drain.
         let deadline = Instant::now().checked_add(self.grace);
@@ -668,12 +767,14 @@ impl Drop for ShutdownHandle {
     fn drop(&mut self) {
         // Detach: dropping JoinHandles leaves the pool running.
         self.accept.take();
+        self.sweep.take();
         self.workers.clear();
     }
 }
 
-/// Start a pool: one accept thread polling `acceptor`, `cfg.workers`
-/// worker threads driving `service`. The pool's [`NetStats`] are
+/// Start a pool: one accept thread blocking on `acceptor`,
+/// `cfg.workers` worker threads driving `service`, and a `net-sweep`
+/// thread if `cfg.sweep_interval` is set. The pool's [`NetStats`] are
 /// private to the returned handle; use [`serve_scoped`] to surface them
 /// on a service's scrape registry.
 pub fn serve<A, S>(acceptor: A, service: Arc<S>, cfg: NetConfig) -> io::Result<ShutdownHandle>
@@ -705,6 +806,25 @@ where
     serve_with_stats(acceptor, service, cfg, Arc::new(NetStats::scoped(registry, scope)))
 }
 
+/// The `net-sweep` thread: [`Service::sweep`] every `interval` until
+/// the pool stops (teardown unparks it).
+fn sweep_loop<C, S>(shared: Arc<PoolShared<C>>, service: Arc<S>, interval: Duration)
+where
+    S: Service<C>,
+{
+    let mut last = Instant::now();
+    loop {
+        std::thread::park_timeout(interval.saturating_sub(last.elapsed()));
+        if shared.stop.load(Ordering::Acquire) {
+            return;
+        }
+        if last.elapsed() >= interval {
+            service.sweep();
+            last = Instant::now();
+        }
+    }
+}
+
 fn serve_with_stats<A, S>(
     acceptor: A,
     service: Arc<S>,
@@ -717,13 +837,21 @@ where
     S: Service<A::Conn>,
 {
     let shared = Arc::new(PoolShared {
-        queue: Mutex::new(VecDeque::new()),
-        work_ready: Condvar::new(),
+        state: Mutex::new(PoolState { queue: VecDeque::new(), idle: Vec::new() }),
         stop: AtomicBool::new(false),
         stats: stats.clone(),
     });
+    // Filled as threads start; on a failed spawn, shutting it down
+    // stops and joins whatever did start.
+    let mut pool = ShutdownHandle {
+        control: shared.clone(),
+        stats,
+        grace: cfg.shutdown_grace,
+        accept: None,
+        sweep: None,
+        workers: Vec::new(),
+    };
 
-    let mut workers = Vec::new();
     for i in 0..cfg.workers.max(1) {
         let sh = shared.clone();
         let svc = service.clone();
@@ -732,44 +860,42 @@ where
             .name(format!("net-worker-{i}"))
             .spawn(move || worker_loop(sh, svc, idle));
         match spawned {
-            Ok(h) => workers.push(h),
+            Ok(h) => pool.workers.push(h),
             Err(e) => {
-                // Unwind: stop the workers we did start, then report.
-                shared.stop.store(true, Ordering::Release);
-                shared.work_ready.notify_all();
-                for h in workers {
-                    join_counting_panics(h, &stats);
-                }
+                pool.shutdown();
                 return Err(e);
             }
         }
     }
 
-    let sh = shared.clone();
-    let svc = service.clone();
-    let loop_cfg = cfg.clone();
-    let accept = std::thread::Builder::new()
-        .name("net-accept".into())
-        .spawn(move || accept_loop(acceptor, sh, svc, loop_cfg));
-    let accept = match accept {
-        Ok(h) => h,
-        Err(e) => {
-            shared.stop.store(true, Ordering::Release);
-            shared.work_ready.notify_all();
-            for h in workers {
-                join_counting_panics(h, &stats);
+    if let Some(interval) = cfg.sweep_interval {
+        let sh = shared.clone();
+        let svc = service.clone();
+        let spawned = std::thread::Builder::new()
+            .name("net-sweep".into())
+            .spawn(move || sweep_loop(sh, svc, interval));
+        match spawned {
+            Ok(h) => pool.sweep = Some(h),
+            Err(e) => {
+                pool.shutdown();
+                return Err(e);
             }
+        }
+    }
+
+    let waker = acceptor.waker();
+    let loop_cfg = cfg.clone();
+    let spawned = std::thread::Builder::new()
+        .name("net-accept".into())
+        .spawn(move || accept_loop(acceptor, shared, service, loop_cfg));
+    match spawned {
+        Ok(h) => pool.accept = Some((h, waker)),
+        Err(e) => {
+            pool.shutdown();
             return Err(e);
         }
-    };
-
-    Ok(ShutdownHandle {
-        control: shared,
-        stats,
-        grace: cfg.shutdown_grace,
-        accept: Some(accept),
-        workers,
-    })
+    }
+    Ok(pool)
 }
 
 /// How a [`FaultyTransport`] sabotages reads once armed.
@@ -1083,7 +1209,6 @@ mod tests {
             handshake_deadline: Some(Duration::from_millis(500)),
             idle_deadline: Some(Duration::from_millis(500)),
             shutdown_grace: Duration::from_secs(2),
-            poll_interval: Duration::from_millis(1),
             accept_backoff_start: Duration::from_millis(1),
             accept_backoff_max: Duration::from_millis(20),
             sweep_interval: None,
@@ -1124,6 +1249,158 @@ mod tests {
         let stats = handle.stats();
         handle.shutdown();
         assert!(stats.accept_retries() >= 2, "retries = {}", stats.accept_retries());
+    }
+
+    /// Counts sweeps; serves nothing.
+    #[derive(Default)]
+    struct Sweeps(Counter);
+    impl<C: Send + 'static> Service<C> for Sweeps {
+        fn handle(&self, _conn: C, _idle: Option<Duration>) -> Outcome {
+            Outcome::Ok
+        }
+        fn sweep(&self) {
+            self.0.inc();
+        }
+    }
+
+    /// An idle pool sweeps on its own thread while `accept` blocks, and
+    /// its shutdown wake is prompt and neither counted nor queued.
+    fn idle_pool_sweeps_then_wakes_for_shutdown<A>(acceptor: A)
+    where
+        A: Acceptor,
+        A::Conn: DeadlineControl,
+    {
+        let sweeps = Arc::new(Sweeps::default());
+        let cfg = NetConfig { sweep_interval: Some(Duration::from_millis(20)), ..quick_cfg() };
+        let handle = serve(acceptor, sweeps.clone(), cfg).unwrap();
+        std::thread::sleep(Duration::from_millis(200));
+        assert!(sweeps.0.get() >= 3, "{} sweeps in 200 ms", sweeps.0.get());
+        let stats = handle.stats();
+        let started = Instant::now();
+        let report = handle.shutdown();
+        assert!(started.elapsed() < Duration::from_secs(1), "shutdown took {:?}", started.elapsed());
+        assert!(report.drained);
+        assert_eq!((stats.accepted(), stats.completed(), report.aborted), (0, 0, 0));
+    }
+
+    #[test]
+    fn blocking_accept_wakes_for_shutdown_and_the_sweep_runs_on_its_own_thread() {
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let listener = TcpListener::bind(bind).unwrap();
+            idle_pool_sweeps_then_wakes_for_shutdown(TcpAcceptor::new(listener).unwrap());
+        }
+        let (_push, accept) = accept_queue::<BoxedConn>();
+        idle_pool_sweeps_then_wakes_for_shutdown(accept);
+    }
+
+    /// An acceptor whose wake never arrives: `accept` stays blocked
+    /// until the test lets go of it.
+    struct Unwakeable(std::sync::mpsc::Receiver<()>);
+    impl Acceptor for Unwakeable {
+        type Conn = BoxedConn;
+        fn accept(&mut self) -> io::Result<BoxedConn> {
+            let _ = self.0.recv();
+            Err(io::Error::new(io::ErrorKind::NotConnected, "released"))
+        }
+        fn waker(&self) -> AcceptWaker {
+            Box::new(|| Err(io::Error::new(io::ErrorKind::TimedOut, "wake dial failed")))
+        }
+    }
+
+    #[test]
+    fn shutdown_detaches_an_accept_thread_it_cannot_wake() {
+        let (release, blocked) = std::sync::mpsc::channel();
+        let handle = serve(Unwakeable(blocked), Arc::new(Echo), quick_cfg()).unwrap();
+        let started = Instant::now();
+        let report = handle.shutdown();
+        assert!(started.elapsed() < Duration::from_secs(1), "shutdown took {:?}", started.elapsed());
+        assert_eq!(report.workers_joined, 2);
+        drop(release);
+    }
+
+    #[test]
+    fn accepted_and_dialled_sockets_are_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut acceptor = TcpAcceptor::new(listener).unwrap();
+        let dialled = dial(addr).unwrap();
+        let accepted = acceptor.accept().unwrap();
+        assert!(dialled.nodelay().unwrap(), "dialled socket");
+        assert!(accepted.nodelay().unwrap(), "accepted socket");
+    }
+
+    /// Answers one byte with one byte, noting which worker served it.
+    #[derive(Default)]
+    struct WhoServed(Mutex<Vec<String>>);
+    impl Service<BoxedConn> for WhoServed {
+        fn handle(&self, mut conn: BoxedConn, _idle: Option<Duration>) -> Outcome {
+            let name = std::thread::current().name().unwrap_or("?").to_string();
+            self.0.lock().push(name);
+            let mut byte = [0u8; 1];
+            match conn.read_exact(&mut byte).and_then(|()| conn.write_all(&byte)) {
+                Ok(()) => Outcome::Ok,
+                Err(_) => Outcome::Error,
+            }
+        }
+    }
+
+    impl WhoServed {
+        fn distinct(&self) -> std::collections::BTreeSet<String> {
+            self.0.lock().drain(..).collect()
+        }
+    }
+
+    fn one_request(push: &QueuePusher<BoxedConn>) {
+        let (mut client, server_end) = duplex();
+        push.push(Box::new(server_end)).unwrap();
+        client.write_all(b"?").unwrap();
+        let mut byte = [0u8; 1];
+        client.read_exact(&mut byte).unwrap();
+    }
+
+    /// Wait until at least `n` workers are parked: a client that has
+    /// its answer may dial again before its worker re-parks, and on a
+    /// loaded machine that window is a scheduler timeslice.
+    fn await_parked(handle: &ShutdownHandle, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while handle.parked() < n {
+            assert!(Instant::now() < deadline, "workers never parked");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn the_most_recently_parked_worker_serves() {
+        let who = Arc::new(WhoServed::default());
+        let (push, accept) = accept_queue::<BoxedConn>();
+        let handle = serve(accept, who.clone(), NetConfig { workers: 8, ..quick_cfg() }).unwrap();
+
+        for _ in 0..20 {
+            await_parked(&handle, 8);
+            one_request(&push);
+        }
+        let sequential = who.distinct();
+        assert_eq!(sequential.len(), 1, "sequential connections spread over {sequential:?}");
+
+        // Two closed-loop clients, each dialling once only the other's
+        // connection may still hold a worker. A FIFO hand-off would
+        // cycle through all eight.
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..20 {
+                        await_parked(&handle, 7);
+                        one_request(&push);
+                    }
+                });
+            }
+        });
+        let concurrent = who.distinct();
+        assert!(concurrent.len() <= 3, "two closed-loop clients touched {concurrent:?}");
+
+        let stats = handle.stats();
+        handle.shutdown();
+        assert_eq!(stats.completed(), 60);
     }
 
     #[test]

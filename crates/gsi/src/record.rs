@@ -65,9 +65,13 @@ impl FrameLen {
 }
 
 /// Write one `u32`-length-prefixed frame.
+///
+/// Prefix and payload leave in one `write_all`: two writes per frame
+/// are the small-write-then-wait pattern Nagle's algorithm holds back
+/// until the peer's delayed ACK, ~40 ms per frame on a TCP socket.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<()> {
-    w.write_all(&FrameLen::of(payload)?.prefix())?;
-    w.write_all(payload)?;
+    let prefix = FrameLen::of(payload)?.prefix();
+    w.write_all(&[&prefix[..], payload].concat())?;
     w.flush()?;
     Ok(())
 }
@@ -167,11 +171,44 @@ mod tests {
         )
     }
 
+    /// Records every `write` call it receives, whole.
+    #[derive(Default)]
+    struct CountingWrite {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWrite {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn frame_roundtrip() {
         let (mut a, mut b) = duplex();
         write_frame(&mut a, b"hello frames").unwrap();
         assert_eq!(read_frame(&mut b).unwrap(), b"hello frames");
+    }
+
+    #[test]
+    fn one_write_per_frame_carrying_prefix_then_payload() {
+        let mut w = CountingWrite::default();
+        write_frame(&mut w, b"hello frames").unwrap();
+        assert_eq!(w.writes, vec![[&[0, 0, 0, 12][..], b"hello frames"].concat()]);
+
+        let (mut c, mut s) = pair();
+        let mut w = CountingWrite::default();
+        c.send(&mut w, b"sealed payload").unwrap();
+        assert_eq!(w.writes.len(), 1, "a sealed record is one write");
+        let frame = &w.writes[0];
+        let sealed = &frame[4..];
+        assert_eq!(frame[..4], FrameLen::of(sealed).unwrap().prefix());
+        let mut cursor = std::io::Cursor::new(frame.clone());
+        assert_eq!(s.recv(&mut cursor).unwrap(), b"sealed payload");
     }
 
     #[test]

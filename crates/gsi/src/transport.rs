@@ -4,6 +4,7 @@
 //! pipe; the §5.2 snooping experiments wrap either in a [`Tap`].
 
 use parking_lot::{Condvar, Mutex};
+use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -18,9 +19,11 @@ impl<T: Read + Write + Send> Transport for T {}
 /// configured with connector closures rather than concrete stream types.
 pub type BoxedTransport = Box<dyn ReadWriteSend>;
 
-/// Object-safe supertrait bundle behind [`BoxedTransport`].
-pub trait ReadWriteSend: Read + Write + Send {}
-impl<T: Read + Write + Send> ReadWriteSend for T {}
+/// Object-safe supertrait bundle behind [`BoxedTransport`]. `Any` lets
+/// a caller that knows what a connector dials (a test checking socket
+/// options) get the concrete stream back with `downcast_ref`.
+pub trait ReadWriteSend: Read + Write + Send + Any {}
+impl<T: Read + Write + Send + Any> ReadWriteSend for T {}
 
 /// A connector: dials a fresh connection to some service.
 pub type Connector = std::sync::Arc<dyn Fn() -> std::io::Result<BoxedTransport> + Send + Sync>;

@@ -45,7 +45,6 @@ fn tight_cfg() -> NetConfig {
         handshake_deadline: Some(Duration::from_millis(400)),
         idle_deadline: Some(Duration::from_millis(600)),
         shutdown_grace: Duration::from_secs(2),
-        poll_interval: Duration::from_millis(1),
         accept_backoff_start: Duration::from_millis(1),
         accept_backoff_max: Duration::from_millis(10),
         sweep_interval: None,
